@@ -28,6 +28,13 @@ def _mix(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _mix_u64(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer on uint64 arrays; the wraparound is native."""
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
 class CounterStream:
     """Deterministic uniform stream indexed by a counter."""
 
@@ -41,6 +48,11 @@ class CounterStream:
     def symmetric(self, counter: int) -> float:
         """Uniform draw in [-1, 1)."""
         return 2.0 * self.u01(counter) - 1.0
+
+    def u01_array(self, counters: np.ndarray) -> np.ndarray:
+        """`u01` of every counter in an array, bit for bit."""
+        steps = counters.astype(np.uint64) + np.uint64(1)
+        return _mix_u64(np.uint64(self.base) + steps * np.uint64(_GOLDEN)) / 2.0 ** 64
 
 
 @dataclass(frozen=True)
@@ -137,30 +149,26 @@ def sample(chart: BaseChart, plan: SamplePlan = DEFAULT_PLAN) -> np.ndarray:
     fraction `margin` per side.
     """
     stream = CounterStream(plan.seed, _POINT_STREAM)
-    dim = chart.dim
-    out = np.empty((plan.count, dim), dtype=float)
-    for i in range(plan.count):
-        for j in range(dim):
-            lo, hi = chart.lows[j], chart.highs[j]
-            width = hi - lo
-            lo_m = lo + plan.margin * width
-            hi_m = hi - plan.margin * width
-            out[i, j] = lo_m + stream.u01(i * dim + j) * (hi_m - lo_m)
-    return out
+    lows = np.array(chart.lows)
+    highs = np.array(chart.highs)
+    width = highs - lows
+    lo_m = lows + plan.margin * width
+    hi_m = highs - plan.margin * width
+    counters = np.arange(plan.count * chart.dim).reshape(plan.count, chart.dim)
+    return lo_m + stream.u01_array(counters) * (hi_m - lo_m)
 
 
-def sample_vectors(plan: SamplePlan, point_index: int, count: int, slots: int,
+def sample_vectors(plan: SamplePlan, point_index, count: int, slots: int,
                    dim: int) -> np.ndarray:
     """Deterministic test vectors with components in [-1, 1].
 
-    Returns shape (count, slots, dim); the draw is a pure function of
+    Returns shape (count, slots, dim) for one point index, with the shape of
+    an index array prepended for many; the draw is a pure function of
     (plan.seed, point_index, count, slots, position).
     """
     stream = CounterStream(plan.seed, _VECTOR_STREAM)
-    out = np.empty((count, slots, dim), dtype=float)
-    for t in range(count):
-        for s in range(slots):
-            for c in range(dim):
-                counter = ((point_index * count + t) * slots + s) * dim + c
-                out[t, s, c] = stream.symmetric(counter)
-    return out
+    index = np.asarray(point_index, dtype=np.uint64)
+    per_point = count * slots * dim
+    counters = index[..., None] * np.uint64(per_point) + np.arange(per_point, dtype=np.uint64)
+    draws = 2.0 * stream.u01_array(counters) - 1.0
+    return draws.reshape(index.shape + (count, slots, dim))

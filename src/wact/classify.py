@@ -18,78 +18,80 @@ from . import structure as st
 from .chart import DEFAULT_PLAN, SamplePlan, sample, sample_vectors
 from .errors import UnknownCheckIdError
 from .runtime import parallel_map
-from .structure import Structure, StructureJet
+from .structure import Structure
 
 IMPLICATION_FACTOR = 10.0
 
 _TUPLES_PER_POINT = 5
 _SLOTS = 3
+_CONTRACTIONS = {
+    1: "...a,...ta->...t",
+    2: "...ab,...ta,...tb->...t",
+    3: "...abc,...ta,...tb,...tc->...t",
+}
 
 
-def _sup(arr) -> float:
-    return float(np.max(np.abs(arr)))
+def _worst(*values) -> float:
+    """Largest residual; a NaN is the worst value and is never dropped."""
+    return st.sup_at(values)[1]
 
 
 class Session:
-    """Shared per-run cache: sample points, jets, and test vectors."""
+    """Shared per-run cache: sample points, block jets, and test vectors.
+
+    `jets` may be handed over from `validate` over the same plan, so the
+    field jets are evaluated once per run.
+    """
 
     def __init__(self, s: Structure, plan: SamplePlan = DEFAULT_PLAN,
-                 tol: float = st.DEFAULT_TOL):
+                 tol: float = st.DEFAULT_TOL, jets=None):
         if s.nu is None:
             raise ValueError("structure must be validated (nu resolved) before analysis")
         self.structure = s
         self.plan = plan
         self.tol = tol
         self.points = sample(s.chart, plan)
+        if jets is not None:
+            self.jets = list(jets)
 
     @cached_property
     def jets(self) -> list:
-        return parallel_map(lambda p: StructureJet(self.structure, p), list(self.points))
+        """One StructureJet per block of sample points."""
+        return st.block_jets(self.structure, self.points)
 
     @cached_property
     def vectors(self) -> np.ndarray:
         """Shape (points, tuples, slots, dim), components in [-1, 1]."""
         dim = self.structure.chart.dim
-        rows = parallel_map(
-            lambda i: sample_vectors(self.plan, i, _TUPLES_PER_POINT, _SLOTS, dim),
-            list(range(len(self.points))))
-        return np.stack(rows)
+        return sample_vectors(self.plan, np.arange(len(self.points)),
+                              _TUPLES_PER_POINT, _SLOTS, dim)
 
     # -- residual reducers -----------------------------------------------------
 
     def sup_pointwise(self, fn) -> float:
         """Sup over points of a componentwise-residual function of the jet."""
-        return max(parallel_map(lambda j: _sup(fn(j)), self.jets))
+        return _worst(*parallel_map(lambda j: np.max(np.abs(fn(j))), self.jets))
 
     def sup_contracted(self, fn, slots: int) -> float:
         """Sup over points and vector tuples of a contracted residual tensor."""
 
-        def per_point(item):
-            index, jet = item
-            res = fn(jet)
-            vec = self.vectors[index]
-            worst = 0.0
-            for t in range(_TUPLES_PER_POINT):
-                args = [vec[t, k] for k in range(slots)]
-                if slots == 1:
-                    value = np.einsum("a,a->", res, args[0])
-                elif slots == 2:
-                    value = np.einsum("ab,a,b->", res, args[0], args[1])
-                else:
-                    value = np.einsum("abc,a,b,c->", res, args[0], args[1], args[2])
-                worst = max(worst, abs(float(value)))
-            return worst
+        def per_block(item):
+            jet, vec = item
+            args = [vec[:, :, k] for k in range(slots)]
+            return np.max(np.abs(np.einsum(_CONTRACTIONS[slots], fn(jet), *args)))
 
-        return max(parallel_map(per_point, list(enumerate(self.jets))))
+        ends = np.cumsum([len(j.point) for j in self.jets])[:-1]
+        blocks = zip(self.jets, np.split(self.vectors, ends))
+        return _worst(*parallel_map(per_block, list(blocks)))
 
     # -- flags ------------------------------------------------------------------
 
     @cached_property
     def flag_residuals(self) -> dict:
-        axioms = max(
+        axioms = _worst(
             self.sup_pointwise(st._res_phi_square),
-            self.sup_pointwise(lambda j: st._res_eta_xi(j)),
-            self.sup_pointwise(lambda j: st._res_q_xi_alignment(j)),
+            self.sup_pointwise(st._res_eta_xi),
+            self.sup_pointwise(st._res_q_xi_alignment),
             self.sup_pointwise(st._res_phi_invariant),
             self.sup_pointwise(st._res_compatibility),
         )
@@ -104,9 +106,9 @@ class Session:
             "weak_contact_metric": contact,
             "weak_K_contact": killing,
             "normal": normal,
-            "weak_Sasakian": max(normal, contact),
-            "weak_almost_cosymplectic": max(d_eta, d_phi_form),
-            "weak_cosymplectic": max(d_eta, d_phi_form, normal),
+            "weak_Sasakian": _worst(normal, contact),
+            "weak_almost_cosymplectic": _worst(d_eta, d_phi_form),
+            "weak_cosymplectic": _worst(d_eta, d_phi_form, normal),
             "phi_parallel": parallel,
         }
 
@@ -118,12 +120,12 @@ class Session:
         deviations = []
         for j in self.jets:
             qp = j.Q @ j.projector
-            lam = float(np.trace(qp)) / two_n
+            lam = np.trace(qp, axis1=-2, axis2=-1) / two_n
             lambdas.append(lam)
-            deviations.append(_sup(qp - lam * j.projector))
-        lam0 = lambdas[0]
-        residual = max(max(deviations), max(abs(l - lam0) for l in lambdas))
-        return lam0, residual
+            deviations.append(np.max(np.abs(qp - lam[:, None, None] * j.projector)))
+        lambdas = np.concatenate(lambdas)
+        lam0 = float(lambdas[0])
+        return lam0, _worst(*deviations, np.max(np.abs(lambdas - lam0)))
 
     def is_set(self, flag: str) -> bool:
         return self.flag_residuals[flag] <= self.tol
@@ -262,9 +264,13 @@ def _verdict_from(parts, applicable: bool) -> tuple:
     live = [p for p in parts if p["applicable"]]
     if not live:
         return "n/a", None
-    residual = max(p["conclusion_residual"] for p in live)
+    residual = _worst(*(p["conclusion_residual"] for p in live))
     verdict = "pass" if all(p["ok"] for p in live) else "fail"
     return verdict, residual
+
+
+def _antisymmetric_part(m):
+    return 0.5 * (m - st.transpose(m))
 
 
 def _check_t1(ses: Session, tol: float) -> CheckResult:
@@ -275,8 +281,7 @@ def _check_t1(ses: Session, tol: float) -> CheckResult:
     # flags: the symmetric part of the stated reduction (it is not
     # antisymmetric for nu != 1) and the nu-weighted variant that is.
     n2_antisym = ses.sup_contracted(
-        lambda j: 0.5 * (st.n2_reduction_residual(j)
-                         - st.n2_reduction_residual(j).T), 2)
+        lambda j: _antisymmetric_part(st.n2_reduction_residual(j)), 2)
     n2_nu = ses.sup_contracted(st.n2_reduction_residual_nu_weighted, 2)
     parts = [
         _implication("n3_vanishes", hyp, n3, tol),
@@ -297,9 +302,9 @@ def _check_t1(ses: Session, tol: float) -> CheckResult:
 def _check_p1(ses: Session, tol: float) -> CheckResult:
     wcm = ses.flag_residuals["weak_contact_metric"]
     normal = ses.flag_residuals["normal"]
-    hyp = min(wcm, normal)
+    hyp = float(np.fmin(wcm, normal))  # either class suffices; NaN only if both are
     geodesic = ses.sup_pointwise(lambda j: j.nabla_xi_xi)
-    interior = ses.sup_pointwise(lambda j: j.dEta @ j.xi)
+    interior = ses.sup_pointwise(lambda j: st.matvec(j.dEta, j.xi))
     lie_eta = ses.sup_pointwise(lambda j: j.lie_xi_eta)
     parts = [
         _implication("xi_geodesic", hyp, geodesic, tol),
@@ -328,8 +333,8 @@ def _check_t2(ses: Session, tol: float) -> CheckResult:
         _implication("n2_vanishes", hyp, n2, tol),
         _implication("n4_vanishes", hyp, n4, tol),
         _implication("d_eta_xi_invariant", hyp, lie_deta, tol),
-        _implication("killing_implies_n3", max(hyp, killing), n3, tol),
-        _implication("n3_implies_killing", max(hyp, n3), killing, tol),
+        _implication("killing_implies_n3", _worst(hyp, killing), n3, tol),
+        _implication("n3_implies_killing", _worst(hyp, n3), killing, tol),
     ]
     verdict, residual = _verdict_from(parts, applicable)
     return CheckResult(
@@ -368,7 +373,7 @@ def _check_l2(ses: Session, tol: float) -> CheckResult:
     adj = ses.sup_contracted(st.h_adjoint_identity_residual, 2)
     anti = ses.sup_contracted(st.h_anticommutator_identity_residual, 2)
     qnab = ses.sup_contracted(st.q_nabla_xi_identity_residual, 2)
-    hxi = ses.sup_pointwise(lambda j: j.h @ j.xi)
+    hxi = ses.sup_pointwise(lambda j: st.matvec(j.h, j.xi))
     parts = [
         _implication("h_adjoint_defect", hyp, adj, tol),
         _implication("h_anticommutator_defect", hyp, anti, tol),
@@ -433,8 +438,8 @@ def _check_c1(ses: Session, tol: float) -> CheckResult:
         _implication("n2_vanishes", hyp, n2, tol),
         _implication("n4_vanishes", hyp, n4, tol),
         _implication("n1_is_torsion", hyp, n1_torsion, tol),
-        _implication("killing_implies_n3", max(hyp, killing), n3, tol),
-        _implication("n3_implies_killing", max(hyp, n3), killing, tol),
+        _implication("killing_implies_n3", _worst(hyp, killing), n3, tol),
+        _implication("n3_implies_killing", _worst(hyp, n3), killing, tol),
     ]
     verdict, residual = _verdict_from(parts, hyp <= tol)
     return CheckResult(

@@ -99,9 +99,9 @@ def cmd_check(args) -> int:
 def _validated_session(args):
     s = _load(args.file)
     plan = _plan(args)
-    report = validate(s, plan, args.tol)
-    report.raise_for_violations()
-    return report.structure, Session(report.structure, plan, args.tol)
+    report = validate(s, plan, args.tol).raise_for_violations()
+    return report.structure, Session(report.structure, plan, args.tol,
+                                     jets=report.jets)
 
 
 def cmd_classify(args) -> int:

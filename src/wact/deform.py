@@ -24,10 +24,9 @@ from .classify import Session
 from .errors import (EngineInconsistencyError, NotContactMetricError,
                      NotParallelError, NotWeakSasakianError, RankDeficientError,
                      ValidationFailedError)
-from .structure import DEFAULT_TOL, Structure, validate
+from .structure import (DEFAULT_TOL, RANK_RTOL, Structure, ValidationReport,
+                        matvec, sup_at, validate)
 from .tensor import TensorField
-
-_RANK_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -64,8 +63,11 @@ def _scale_nodes(nodes: np.ndarray, factor: float) -> np.ndarray:
 
 
 def _forward(s: Structure, lam: float, lam_prime: float, name: str,
-             plan: SamplePlan, tol: float) -> Structure:
-    """One direction of the deformation; the inverse uses reciprocal factors."""
+             plan: SamplePlan, tol: float) -> ValidationReport:
+    """One direction of the deformation; the inverse uses reciprocal factors.
+
+    Returns the passing validation report of the deformed structure.
+    """
     dim = s.chart.dim
     phi = _nodes(s.phi)
     Q = _nodes(s.Q)
@@ -124,9 +126,7 @@ def _forward(s: Structure, lam: float, lam_prime: float, name: str,
         nu=nu / lam_prime,
         name=name,
     )
-    report = validate(out, plan, tol)
-    report.raise_for_violations()
-    return report.structure
+    return validate(out, plan, tol).raise_for_violations()
 
 
 def deform(s: Structure, params: DeformParams, direction: str = "forward",
@@ -145,7 +145,7 @@ def deform(s: Structure, params: DeformParams, direction: str = "forward",
     if direction == "inverse":
         lam, lam_prime = 1.0 / lam, 1.0 / lam_prime
     name = f"{s.name}_deformed_{direction}_{params.lam:g}_{params.lam_prime:g}"
-    return _forward(s, lam, lam_prime, name, plan, tol)
+    return _forward(s, lam, lam_prime, name, plan, tol).structure
 
 
 def extract_sasakian(s: Structure, plan: SamplePlan = DEFAULT_PLAN,
@@ -170,9 +170,10 @@ def extract_sasakian(s: Structure, plan: SamplePlan = DEFAULT_PLAN,
     if q_res > tol:
         raise NotWeakSasakianError("Q restricted to D is nu * id", q_res)
 
-    out = _forward(s, nu, nu, f"{s.name}_sasakian", plan, tol)
+    report = _forward(s, nu, nu, f"{s.name}_sasakian", plan, tol)
+    out = report.structure
 
-    out_ses = Session(out, plan, tol)
+    out_ses = Session(out, plan, tol, jets=report.jets)
     q_id = out_ses.sup_pointwise(lambda j: j.Q - j.identity)
     out_contact = out_ses.flag_residuals["weak_contact_metric"]
     out_normal = out_ses.flag_residuals["normal"]
@@ -211,7 +212,7 @@ def product_construction(phitilde: TensorField, g_plane: TensorField, nu: float,
     for p in points:
         pv = phitilde.values(p)
         sv = np.linalg.svd(pv, compute_uv=False)
-        rank = int(np.sum(sv > _RANK_RTOL * sv[0])) if sv[0] > 0.0 else 0
+        rank = int(np.sum(sv > RANK_RTOL * sv[0])) if sv[0] > 0.0 else 0
         if rank != two_n:
             raise RankDeficientError(
                 f"plane tensor has rank {rank} < {two_n} at {tuple(float(v) for v in p)}")
@@ -318,23 +319,24 @@ def contact_vector_field(s: Structure, X: TensorField,
             f"structure is not weak contact metric (residual {contact:.3e})")
 
     nu = s.nu
-    worst = 0.0
-    worst_point = tuple(float(v) for v in ses.points[0])
-    sigma_sup = 0.0
-    lie_res = 0.0
-    for p, j in zip(ses.points, ses.jets):
-        xv, xd = X.jet(p)
-        f = float(j.eta @ xv)
-        df = np.einsum("ik,i->k", j.d_eta_partials, xv) + np.einsum("i,ik->k", j.eta, xd)
-        grad_f = j.g_inv @ df
-        resid = j.Q @ xv + 0.5 * (j.phi @ grad_f) - nu * f * j.xi
-        value = float(np.max(np.abs(resid)))
-        if value > worst:
-            worst, worst_point = value, tuple(float(v) for v in p)
-        sigma = float(j.xi @ df)
-        sigma_sup = max(sigma_sup, abs(sigma))
-        lie_eta = np.einsum("a,ia->i", xv, j.d_eta_partials) + np.einsum("a,ai->i", j.eta, xd)
-        lie_res = max(lie_res, float(np.max(np.abs(lie_eta - sigma * j.eta))))
+    residuals, sigmas, lie_res = [], [], []
+    for j in ses.jets:
+        xv, xd = X.jet(j.point, "field")
+        f = np.einsum("...i,...i->...", j.eta, xv)
+        df = (np.einsum("...ik,...i->...k", j.d_eta_partials, xv)
+              + np.einsum("...i,...ik->...k", j.eta, xd))
+        grad_f = matvec(j.g_inv, df)
+        resid = matvec(j.Q, xv) + 0.5 * matvec(j.phi, grad_f) - nu * f[:, None] * j.xi
+        residuals.append(np.max(np.abs(resid), axis=-1))
+        sigma = np.einsum("...i,...i->...", j.xi, df)
+        sigmas.append(np.abs(sigma))
+        lie_eta = (np.einsum("...a,...ia->...i", xv, j.d_eta_partials)
+                   + np.einsum("...a,...ai->...i", j.eta, xd))
+        lie_res.append(np.max(np.abs(lie_eta - sigma[:, None] * j.eta)))
+    index, worst = sup_at(np.concatenate(residuals))
+    worst_point = tuple(float(v) for v in ses.points[index])
+    sigma_sup = sup_at(np.concatenate(sigmas))[1]
+    lie_res = sup_at(lie_res)[1]
 
     f_nodes = ex.make_num(0.0)
     eta_nodes = _nodes(s.eta)

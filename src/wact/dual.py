@@ -1,122 +1,139 @@
 """Forward-mode dual numbers with one derivative slot per chart coordinate.
 
-Components of the derivative vector may themselves be Dual, so nesting the
-evaluation gives exact second derivatives from the same arithmetic.
+A value is a float or an array with one entry per sample point; the
+derivative `d` is a single array whose leading axis holds the slots, so each
+node operation is one numpy call for a whole block of points (the "vector
+mode" of Griewank & Walther, Evaluating Derivatives, ch. 3).  The slots of
+`d` may themselves be Dual (an object array), so nesting the evaluation
+gives exact second derivatives from the same arithmetic.
 """
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 from .errors import DomainError
 
 
 def real_part(x):
-    """Innermost float of a possibly nested dual number."""
+    """Innermost float or array of a possibly nested dual number."""
     while isinstance(x, Dual):
         x = x.val
     return x
 
 
+def check(bad, message: str):
+    """Raise DomainError if `bad` is set at any point, naming the first one."""
+    if np.any(bad):
+        raise DomainError(message, int(np.argmax(bad)) if np.ndim(bad) else None)
+
+
 class Dual:
-    """Value plus a tuple of partial derivatives."""
+    """Value plus an array of partial derivatives (slot axis first).
+
+    An operand that is a plain array is a container of independent numbers,
+    so operations with one defer to numpy, which applies them entrywise.
+    """
 
     __slots__ = ("val", "d")
 
     def __init__(self, val, d):
         self.val = val
-        self.d = tuple(d)
+        self.d = d if isinstance(d, np.ndarray) else np.asarray(d)
 
     def __repr__(self):
         return f"Dual({self.val!r}, {self.d!r})"
 
     def __neg__(self):
-        return Dual(-self.val, tuple(-a for a in self.d))
+        return Dual(-self.val, -self.d)
 
     def __add__(self, other):
         if isinstance(other, Dual):
-            return Dual(self.val + other.val,
-                        tuple(a + b for a, b in zip(self.d, other.d)))
+            return Dual(self.val + other.val, self.d + other.d)
+        if isinstance(other, np.ndarray):
+            return NotImplemented
         return Dual(self.val + other, self.d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Dual):
-            return Dual(self.val - other.val,
-                        tuple(a - b for a, b in zip(self.d, other.d)))
+            return Dual(self.val - other.val, self.d - other.d)
+        if isinstance(other, np.ndarray):
+            return NotImplemented
         return Dual(self.val - other, self.d)
 
     def __rsub__(self, other):
-        return Dual(other - self.val, tuple(-a for a in self.d))
+        if isinstance(other, np.ndarray):
+            return NotImplemented
+        return Dual(other - self.val, -self.d)
 
     def __mul__(self, other):
         if isinstance(other, Dual):
             return Dual(self.val * other.val,
-                        tuple(a * other.val + self.val * b
-                              for a, b in zip(self.d, other.d)))
-        return Dual(self.val * other, tuple(a * other for a in self.d))
+                        self.d * other.val + self.val * other.d)
+        if isinstance(other, np.ndarray):
+            return NotImplemented
+        return Dual(self.val * other, self.d * other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Dual):
             q = self.val / other.val
-            return Dual(q, tuple((a - q * b) / other.val
-                                 for a, b in zip(self.d, other.d)))
-        return Dual(self.val / other, tuple(a / other for a in self.d))
+            return Dual(q, (self.d - q * other.d) / other.val)
+        if isinstance(other, np.ndarray):
+            return NotImplemented
+        return Dual(self.val / other, self.d / other)
 
     def __rtruediv__(self, other):
+        if isinstance(other, np.ndarray):
+            return NotImplemented
         q = other / self.val
-        return Dual(q, tuple((-q * b) / self.val for b in self.d))
+        return Dual(q, (-q * self.d) / self.val)
 
 
 def sin(x):
     if isinstance(x, Dual):
-        c = cos(x.val)
-        return Dual(sin(x.val), tuple(c * a for a in x.d))
-    return math.sin(x)
+        return Dual(sin(x.val), cos(x.val) * x.d)
+    return np.sin(x)
 
 
 def cos(x):
     if isinstance(x, Dual):
-        s = sin(x.val)
-        return Dual(cos(x.val), tuple(-(s * a) for a in x.d))
-    return math.cos(x)
+        return Dual(cos(x.val), -(sin(x.val) * x.d))
+    return np.cos(x)
 
 
 def tan(x):
     if isinstance(x, Dual):
         t = tan(x.val)
         sec2 = 1.0 + t * t
-        return Dual(t, tuple(sec2 * a for a in x.d))
-    return math.tan(x)
+        return Dual(t, sec2 * x.d)
+    return np.tan(x)
 
 
 def exp(x):
     if isinstance(x, Dual):
         e = exp(x.val)
-        return Dual(e, tuple(e * a for a in x.d))
-    return math.exp(x)
+        return Dual(e, e * x.d)
+    return np.exp(x)
 
 
 def log(x):
-    if real_part(x) <= 0.0:
-        raise DomainError("log of non-positive value")
+    check(real_part(x) <= 0.0, "log of non-positive value")
     if isinstance(x, Dual):
-        return Dual(log(x.val), tuple(a / x.val for a in x.d))
-    return math.log(x)
+        return Dual(log(x.val), x.d / x.val)
+    return np.log(x)
 
 
 def sqrt(x):
     if isinstance(x, Dual):
-        if real_part(x) <= 0.0:
-            raise DomainError("sqrt derivative at non-positive value")
+        check(real_part(x) <= 0.0, "sqrt derivative at non-positive value")
         s = sqrt(x.val)
-        return Dual(s, tuple(a / (2.0 * s) for a in x.d))
-    if x < 0.0:
-        raise DomainError("sqrt of negative value")
-    return math.sqrt(x)
+        return Dual(s, x.d / (2.0 * s))
+    check(x < 0.0, "sqrt of negative value")
+    return np.sqrt(x)
 
 
 def ipow(x, n: int):
@@ -124,8 +141,7 @@ def ipow(x, n: int):
     if n == 0:
         return 1.0
     if n < 0:
-        if real_part(x) == 0.0:
-            raise DomainError("zero raised to a negative power")
+        check(real_part(x) == 0.0, "zero raised to a negative power")
         return 1.0 / ipow(x, -n)
     result = None
     base = x
@@ -140,6 +156,5 @@ def ipow(x, n: int):
 
 def rpow(x, y):
     """General power for positive base, via exp(y * log(x))."""
-    if real_part(x) <= 0.0:
-        raise DomainError("power of non-positive base with non-integer exponent")
+    check(real_part(x) <= 0.0, "power of non-positive base with non-integer exponent")
     return exp(y * log(x))

@@ -25,7 +25,16 @@ class UnknownSymbolError(ParseError):
 
 
 class DomainError(WactError):
-    """Evaluation left the real domain (log of non-positive, division by zero, ...)."""
+    """Evaluation left the real domain (log of non-positive, division by zero, ...).
+
+    `index` is the position of the first offending point in the evaluated
+    block of sample points, or None when a single point was evaluated.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.message = message
+        self.index = index
 
 
 class SlotMismatchError(WactError):

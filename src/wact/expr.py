@@ -21,6 +21,8 @@ import math
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import dual as dm
 from .errors import DomainError, ParseError, UnknownSymbolError
 
@@ -236,7 +238,8 @@ def _compile(node):
             try:
                 return fn(f(env))
             except DomainError as err:
-                raise DomainError(f"{err} in '{name}' at position {pos}") from None
+                raise DomainError(f"{err} in '{name}' at position {pos}",
+                                  err.index) from None
         return call
     # binary
     lf = _compile(node.left)
@@ -251,8 +254,8 @@ def _compile(node):
     if op == "/":
         def div(env):
             denominator = rf(env)
-            if dm.real_part(denominator) == 0.0:
-                raise DomainError(f"division by zero at position {pos}")
+            dm.check(dm.real_part(denominator) == 0.0,
+                     f"division by zero at position {pos}")
             return lf(env) / denominator
         return div
     if op == "^":
@@ -263,7 +266,7 @@ def _compile(node):
             try:
                 return dm.rpow(lf(env), rf(env))
             except DomainError as err:
-                raise DomainError(f"{err} at position {pos}") from None
+                raise DomainError(f"{err} at position {pos}", err.index) from None
         return power
     raise AssertionError(f"unreachable operator {op!r}")
 
@@ -338,67 +341,82 @@ class ScalarExpr:
         self._src = None
 
     # -- evaluation ---------------------------------------------------------
+    #
+    # The jet methods take one point, shape (dim,), or a block of points,
+    # shape (P, dim); block results carry the point axis first.  Domain
+    # violations and non-finite results raise DomainError naming the first
+    # offending point of the block.
+
+    def _points(self, points) -> np.ndarray:
+        pts = np.asarray(points, dtype=float)
+        dim = len(self.coords)
+        if pts.ndim not in (1, 2) or pts.shape[-1] != dim:
+            raise ValueError(
+                f"point has {pts.shape[-1] if pts.ndim else 0} entries, chart has {dim}")
+        return pts
+
+    def _run(self, env):
+        with np.errstate(all="ignore"):  # overflow is caught by the finiteness checks
+            return self._fn(env)
 
     def evaluate(self, point) -> float:
         """Value at a point given as a sequence of floats."""
         if len(point) != len(self.coords):
             raise ValueError(
                 f"point has {len(point)} entries, chart has {len(self.coords)}")
-        value = float(self._fn([float(x) for x in point]))
+        value = float(self._run([float(x) for x in point]))
         if not math.isfinite(value):
             raise DomainError(f"non-finite value {value!r} in '{self}'")
         return value
 
-    def eval_dual(self, point) -> dm.Dual:
-        """Value together with all first partial derivatives at a point."""
+    def eval_dual(self, points) -> dm.Dual:
+        """Value together with all first partial derivatives (slot axis first)."""
+        pts = self._points(points)
         dim = len(self.coords)
-        if len(point) != dim:
-            raise ValueError(
-                f"point has {len(point)} entries, chart has {dim}")
-        env = [dm.Dual(float(point[i]),
-                       tuple(1.0 if j == i else 0.0 for j in range(dim)))
-               for i in range(dim)]
-        out = self._fn(env)
+        shape = pts.shape[:-1]
+        out = self._run([dm.Dual(pts[..., i], _unit(dim, i, shape)) for i in range(dim)])
         if not isinstance(out, dm.Dual):
-            out = dm.Dual(float(out), (0.0,) * dim)
-        if not math.isfinite(out.val) or not all(math.isfinite(a) for a in out.d):
-            raise DomainError(f"non-finite derivative in '{self}'")
+            out = dm.Dual(np.full(shape, float(out))[()], np.zeros((dim,) + shape))
+        bad = ~(np.isfinite(out.val) & np.isfinite(out.d).all(axis=0))
+        dm.check(bad, f"non-finite derivative in '{self}'")
         return out
 
-    def jet1(self, point):
-        """(value, gradient tuple) at the point."""
-        d = self.eval_dual(point)
-        return d.val, d.d
+    def jet1(self, points):
+        """(value, gradient) with the derivative axis last."""
+        d = self.eval_dual(points)
+        return d.val, np.moveaxis(d.d, 0, -1)
 
-    def jet2(self, point):
+    def jet2(self, points):
         """(value, gradient, hessian) via nested dual evaluation."""
+        pts = self._points(points)
         dim = len(self.coords)
-        if len(point) != dim:
-            raise ValueError(
-                f"point has {len(point)} entries, chart has {dim}")
+        shape = pts.shape[:-1]
+        zero = np.zeros((dim,) + shape)
         env = []
         for i in range(dim):
-            inner = dm.Dual(float(point[i]),
-                            tuple(1.0 if j == i else 0.0 for j in range(dim)))
-            seed = tuple(dm.Dual(1.0 if j == i else 0.0, (0.0,) * dim)
-                         for j in range(dim))
+            inner = dm.Dual(pts[..., i], _unit(dim, i, shape))
+            seed = np.empty(dim, dtype=object)
+            seed[:] = [dm.Dual(1.0 if j == i else 0.0, zero) for j in range(dim)]
             env.append(dm.Dual(inner, seed))
-        out = self._fn(env)
+        out = self._run(env)
 
         def level1(x):
             if isinstance(x, dm.Dual):
-                return x.val, x.d
-            return x, (0.0,) * dim
+                return np.broadcast_to(x.val, shape), np.broadcast_to(x.d, (dim,) + shape)
+            return np.full(shape, float(x)), zero
 
         if not isinstance(out, dm.Dual):
-            value = float(out)
-            return value, (0.0,) * dim, tuple((0.0,) * dim for _ in range(dim))
-        value, grad = level1(out.val)
-        hess = []
-        for j in range(dim):
-            _, row = level1(out.d[j])
-            hess.append(tuple(row))
-        return float(value), tuple(grad), tuple(hess)
+            value, grad = level1(out)
+            rows = [zero] * dim
+        else:
+            value, grad = level1(out.val)
+            rows = [level1(out.d[j])[1] for j in range(dim)]
+        grad = np.moveaxis(grad, 0, -1)
+        hess = np.moveaxis(np.stack(rows), (0, 1), (-2, -1))
+        bad = ~(np.isfinite(value) & np.isfinite(grad).all(axis=-1)
+                & np.isfinite(hess).all(axis=(-2, -1)))
+        dm.check(bad, f"non-finite second derivative in '{self}'")
+        return value[()], grad, hess
 
     # -- printing / identity --------------------------------------------------
 
@@ -420,6 +438,13 @@ class ScalarExpr:
 
     def __hash__(self):
         return hash((self.coords, self.to_source()))
+
+
+def _unit(dim: int, i: int, shape) -> np.ndarray:
+    """Derivative seed of coordinate i: slot i is one at every point."""
+    d = np.zeros((dim,) + shape)
+    d[i] = 1.0
+    return d
 
 
 def parse(source: str, coords) -> ScalarExpr:

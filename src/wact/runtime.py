@@ -1,9 +1,11 @@
-"""Worker-pool helper for the embarrassingly parallel per-point loops.
+"""Worker-pool helper for the independent blocks of sample points.
 
-The WACT_THREADS environment variable caps the worker count (default:
-hardware parallelism).  Results are always returned in input order and every
-reduction used on them is order-insensitive, so the outcome is identical for
-any worker count.
+Each item is a whole block of at most `structure.BLOCK_POINTS` points, and
+fewer than 32 items run serially, so plans below 32 blocks never start a
+thread.  The WACT_THREADS environment variable caps the worker count
+(default: hardware parallelism).  Results are always returned in input order
+and every reduction used on them is order-insensitive, so the outcome is
+identical for any worker count.
 """
 
 from __future__ import annotations

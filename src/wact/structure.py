@@ -1,9 +1,9 @@
 """Weak almost contact metric structures: axiom validation and derived tensors.
 
 A structure bundles (phi, Q, xi, eta, g) on an odd-dimensional chart with a
-positive constant nu satisfying Q xi = nu xi.  Everything here evaluates
-pointwise: values and first partials of the five fields at a sample point (a
-`StructureJet`) feed closed-form assemblies of every derived object:
+positive constant nu satisfying Q xi = nu xi.  Values and first partials of
+the five fields at a sample point, or at a block of them with the point axis
+first (a `StructureJet`), feed closed-form assemblies of every derived object:
 
     dEta, Phi, dPhi, Christoffel, nabla(phi), nabla(xi),
     Nijenhuis torsion of phi, N1..N4, the trilinear N5,
@@ -18,18 +18,21 @@ k-partial of phi^i_j).
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .chart import Chart, DEFAULT_PLAN, SamplePlan, sample
 from .errors import AxiomViolationError
+from .runtime import parallel_map
 from .tensor import TensorField, TensorValue
 
 DEFAULT_TOL = 1e-6
 
-_RANK_RTOL = 1e-8  # relative singular-value threshold for numeric rank
+RANK_RTOL = 1e-8  # relative singular-value threshold for numeric rank
+
+BLOCK_POINTS = 1024  # sample points evaluated together; bounds the memory of a block
 
 
 @dataclass(frozen=True)
@@ -68,17 +71,22 @@ class Structure:
 
 
 class StructureJet:
-    """All pointwise data of a structure at one sample point."""
+    """All pointwise data of a structure at one point or a block of points.
+
+    `point` has shape (dim,) or (P, dim); with a block every array carries
+    the point axis first, and the `...` in each einsum subscript lets the
+    same formula serve both.
+    """
 
     def __init__(self, s: Structure, point, need_hessian: bool = False):
         self.structure = s
         self.point = np.asarray(point, dtype=float)
         self.dim = s.chart.dim
-        self.phi, self.d_phi = s.phi.jet(point)
-        self.Q, self.d_Q = s.Q.jet(point)
-        self.xi, self.d_xi = s.xi.jet(point)
-        self.eta, self.d_eta_partials = s.eta.jet(point)
-        self.g, self.d_g = s.g.jet(point)
+        self.phi, self.d_phi = s.phi.jet(self.point, "phi")
+        self.Q, self.d_Q = s.Q.jet(self.point, "Q")
+        self.xi, self.d_xi = s.xi.jet(self.point, "xi")
+        self.eta, self.d_eta_partials = s.eta.jet(self.point, "eta")
+        self.g, self.d_g = s.g.jet(self.point, "metric")
         if need_hessian:
             _ = self.eta_hessian
 
@@ -87,7 +95,7 @@ class StructureJet:
     @cached_property
     def eta_hessian(self):
         """hess[m, i, k] = d_k d_i eta_m."""
-        _, _, hess = self.structure.eta.jet2(self.point)
+        _, _, hess = self.structure.eta.jet2(self.point, "eta")
         return hess
 
     @cached_property
@@ -100,17 +108,18 @@ class StructureJet:
 
     @cached_property
     def Qxi(self):
-        return self.Q @ self.xi
+        return matvec(self.Q, self.xi)
 
     @cached_property
-    def nu_at_point(self) -> float:
-        """g(Q xi, xi) / g(xi, xi) at this point."""
-        num = float(self.Qxi @ self.g @ self.xi)
-        den = float(self.xi @ self.g @ self.xi)
-        return num / den
+    def nu_at_point(self):
+        """g(Q xi, xi) / g(xi, xi) at each point."""
+        num = np.einsum("...i,...ij,...j->...", self.Qxi, self.g, self.xi)
+        den = np.einsum("...i,...ij,...j->...", self.xi, self.g, self.xi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return num / den
 
     @property
-    def nu(self) -> float:
+    def nu(self):
         value = self.structure.nu
         return self.nu_at_point if value is None else value
 
@@ -121,7 +130,7 @@ class StructureJet:
     @cached_property
     def projector(self):
         """P[i, j] = delta^i_j - xi^i eta_j."""
-        return self.identity - np.outer(self.xi, self.eta)
+        return self.identity - outer(self.xi, self.eta)
 
     @cached_property
     def phi2(self):
@@ -133,131 +142,124 @@ class StructureJet:
     def dEta(self):
         """(d eta)_{ij} with the 1/2 normalization."""
         d = self.d_eta_partials  # d[j, i] = d_i eta_j
-        return 0.5 * (d.T - d)
+        return 0.5 * (transpose(d) - d)
 
     @cached_property
     def Phi(self):
         """Fundamental 2-form Phi_{ij} = g(e_i, phi e_j)."""
-        return np.einsum("ia,aj->ij", self.g, self.phi)
+        return np.einsum("...ia,...aj->...ij", self.g, self.phi)
 
     @cached_property
     def dPhi(self):
         """(d Phi)_{ijk} with the 1/3 normalization."""
-        pd = (np.einsum("iak,aj->ijk", self.d_g, self.phi)
-              + np.einsum("ia,ajk->ijk", self.g, self.d_phi))  # pd[i,j,k] = d_k Phi_ij
-        return (np.einsum("jki->ijk", pd) + np.einsum("kij->ijk", pd) + pd) / 3.0
+        pd = (np.einsum("...iak,...aj->...ijk", self.d_g, self.phi)
+              + np.einsum("...ia,...ajk->...ijk", self.g, self.d_phi))  # d_k Phi_ij
+        return (np.einsum("...jki->...ijk", pd) + np.einsum("...kij->...ijk", pd) + pd) / 3.0
 
     @cached_property
     def d_dEta(self):
         """partials[i, j, k] = d_k (dEta)_{ij} (needs the eta hessian)."""
         h = self.eta_hessian  # h[m, i, k] = d_k d_i eta_m
-        return 0.5 * (np.einsum("jik->ijk", h) - np.einsum("ijk->ijk", h))
+        return 0.5 * (np.einsum("...jik->...ijk", h) - h)
 
     # -- connection ------------------------------------------------------------
 
     @cached_property
     def gamma(self):
         """Christoffel symbols gamma[k, i, j]."""
-        A = np.einsum("jli->ijl", self.d_g)  # A[i,j,l] = d_i g_{jl}
-        B = A + np.einsum("jil->ijl", A) - np.einsum("lij->ijl", A)
-        return 0.5 * np.einsum("kl,ijl->kij", self.g_inv, B)
+        A = np.einsum("...jli->...ijl", self.d_g)  # A[i,j,l] = d_i g_{jl}
+        B = A + np.einsum("...jil->...ijl", A) - np.einsum("...lij->...ijl", A)
+        return 0.5 * np.einsum("...kl,...ijl->...kij", self.g_inv, B)
 
     @cached_property
     def nabla_phi(self):
         """nabla_phi[i, j, k] = (nabla_k phi)^i_j."""
         return (self.d_phi
-                + np.einsum("ika,aj->ijk", self.gamma, self.phi)
-                - np.einsum("akj,ia->ijk", self.gamma, self.phi))
+                + np.einsum("...ika,...aj->...ijk", self.gamma, self.phi)
+                - np.einsum("...akj,...ia->...ijk", self.gamma, self.phi))
 
     @cached_property
     def nabla_xi(self):
         """nabla_xi[i, k] = (nabla_k xi)^i."""
-        return self.d_xi + np.einsum("ika,a->ik", self.gamma, self.xi)
+        return self.d_xi + np.einsum("...ika,...a->...ik", self.gamma, self.xi)
 
     @cached_property
     def nabla_xi_xi(self):
-        return np.einsum("ik,k->i", self.nabla_xi, self.xi)
-
-    @cached_property
-    def nabla_g(self):
-        """Metric-compatibility residual (identically ~0 for Levi-Civita)."""
-        return (np.einsum("ijk->kij", self.d_g)
-                - np.einsum("aki,aj->kij", self.gamma, self.g)
-                - np.einsum("akj,ia->kij", self.gamma, self.g))
+        return np.einsum("...ik,...k->...i", self.nabla_xi, self.xi)
 
     # -- torsions and the N-tensors ---------------------------------------------
 
     @cached_property
     def nijenhuis_phi(self):
         """[phi, phi]^i_{jk} on coordinate extensions."""
-        return (np.einsum("lj,ikl->ijk", self.phi, self.d_phi)
-                - np.einsum("lk,ijl->ijk", self.phi, self.d_phi)
-                - np.einsum("il,lkj->ijk", self.phi, self.d_phi)
-                + np.einsum("il,ljk->ijk", self.phi, self.d_phi))
+        return (np.einsum("...lj,...ikl->...ijk", self.phi, self.d_phi)
+                - np.einsum("...lk,...ijl->...ijk", self.phi, self.d_phi)
+                - np.einsum("...il,...lkj->...ijk", self.phi, self.d_phi)
+                + np.einsum("...il,...ljk->...ijk", self.phi, self.d_phi))
 
     @cached_property
     def nijenhuis_phi_nabla_form(self):
         """Same torsion assembled from nabla(phi) instead of raw partials."""
         np_ = self.nabla_phi
-        return (np.einsum("im,mjk->ijk", self.phi, np_)
-                - np.einsum("lk,ijl->ijk", self.phi, np_)
-                - np.einsum("im,mkj->ijk", self.phi, np_)
-                + np.einsum("lj,ikl->ijk", self.phi, np_))
+        return (np.einsum("...im,...mjk->...ijk", self.phi, np_)
+                - np.einsum("...lk,...ijl->...ijk", self.phi, np_)
+                - np.einsum("...im,...mkj->...ijk", self.phi, np_)
+                + np.einsum("...lj,...ikl->...ijk", self.phi, np_))
 
     @cached_property
     def N1(self):
         """N1[i, j, k] = [phi,phi]^i_{jk} + 2 (dEta)_{jk} (Q xi)^i."""
-        return self.nijenhuis_phi + 2.0 * np.einsum("jk,i->ijk", self.dEta, self.Qxi)
+        return self.nijenhuis_phi + 2.0 * np.einsum("...jk,...i->...ijk", self.dEta, self.Qxi)
 
     @cached_property
     def N2(self):
         """N2[j, k] = 2 dEta(phi e_j, e_k) - 2 dEta(phi e_k, e_j)."""
-        m = np.einsum("aj,ak->jk", self.phi, self.dEta)
-        return 2.0 * (m - m.T)
+        m = np.einsum("...aj,...ak->...jk", self.phi, self.dEta)
+        return 2.0 * (m - transpose(m))
 
     @cached_property
     def N2_lie_form(self):
         """N2 from the Lie-derivative definition (cross-check route)."""
-        t = (np.einsum("aj,ka->jk", self.phi, self.d_eta_partials)
-             + np.einsum("m,mjk->jk", self.eta, self.d_phi))
-        return t - t.T
+        t = (np.einsum("...aj,...ka->...jk", self.phi, self.d_eta_partials)
+             + np.einsum("...m,...mjk->...jk", self.eta, self.d_phi))
+        return t - transpose(t)
 
     @cached_property
     def N3(self):
         """N3[i, j] = (Lie_xi phi)^i_j."""
-        return (np.einsum("a,ija->ij", self.xi, self.d_phi)
-                - np.einsum("aj,ia->ij", self.phi, self.d_xi)
-                + np.einsum("ia,aj->ij", self.phi, self.d_xi))
+        return (np.einsum("...a,...ija->...ij", self.xi, self.d_phi)
+                - np.einsum("...aj,...ia->...ij", self.phi, self.d_xi)
+                + np.einsum("...ia,...aj->...ij", self.phi, self.d_xi))
 
     @cached_property
     def N4(self):
         """N4[j] = 2 dEta(xi, e_j)."""
-        return 2.0 * np.einsum("a,aj->j", self.xi, self.dEta)
+        return 2.0 * np.einsum("...a,...aj->...j", self.xi, self.dEta)
 
     @cached_property
     def _proj_metric(self):
         """H[m, n] = g(e_m - eta_m xi, e_n)."""
-        c = np.einsum("m,mn->n", self.xi, self.g)
-        return self.g - np.outer(self.eta, c), c
+        c = np.einsum("...m,...mn->...n", self.xi, self.g)
+        return self.g - outer(self.eta, c), c
 
     @cached_property
     def N5(self):
         """Full (0,3) array of the trilinear tensor, on coordinate extensions."""
         H, c = self._proj_metric
         Qt = self.Qtilde
-        dc = (np.einsum("mk,mn->nk", self.d_xi, self.g)
-              + np.einsum("m,mnk->nk", self.xi, self.d_g))
+        dc = (np.einsum("...mk,...mn->...nk", self.d_xi, self.g)
+              + np.einsum("...m,...mnk->...nk", self.xi, self.d_g))
         dH = (self.d_g
-              - np.einsum("ak,n->ank", self.d_eta_partials, c)
-              - np.einsum("a,nk->ank", self.eta, dc))
-        ds = (np.einsum("ank,nb->abk", dH, Qt)
-              + np.einsum("an,nbk->abk", H, self.d_Q))
-        t1 = np.einsum("kc,abk->abc", self.phi, ds)
-        t2 = -np.einsum("kb,ack->abc", self.phi, ds)
-        t3 = np.einsum("mca,mn,nb->abc", self.d_phi, H, Qt)
-        t4 = -np.einsum("mba,mn,nc->abc", self.d_phi, H, Qt)
-        w5 = np.einsum("mcb->mbc", self.d_phi) - self.d_phi
-        t5 = np.einsum("mbc,mn,na->abc", w5, H, Qt)
+              - np.einsum("...ak,...n->...ank", self.d_eta_partials, c)
+              - np.einsum("...a,...nk->...ank", self.eta, dc))
+        ds = (np.einsum("...ank,...nb->...abk", dH, Qt)
+              + np.einsum("...an,...nbk->...abk", H, self.d_Q))
+        t1 = np.einsum("...kc,...abk->...abc", self.phi, ds)
+        t2 = -np.einsum("...kb,...ack->...abc", self.phi, ds)
+        t3 = np.einsum("...mca,...mn,...nb->...abc", self.d_phi, H, Qt)
+        t4 = -np.einsum("...mba,...mn,...nc->...abc", self.d_phi, H, Qt)
+        w5 = np.einsum("...mcb->...mbc", self.d_phi) - self.d_phi
+        t5 = np.einsum("...mbc,...mn,...na->...abc", w5, H, Qt)
         return t1 + t2 + t3 + t4 + t5
 
     # -- the h tensor and friends -------------------------------------------------
@@ -269,7 +271,7 @@ class StructureJet:
     @cached_property
     def h_star(self):
         """Metric adjoint (h*)^i_j = g^{ia} h^m_a g_{mj}."""
-        return np.einsum("ia,ma,mj->ij", self.g_inv, self.h, self.g)
+        return np.einsum("...ia,...ma,...mj->...ij", self.g_inv, self.h, self.g)
 
     @cached_property
     def A_op(self):
@@ -283,106 +285,149 @@ class StructureJet:
 
     @cached_property
     def lie_xi_g(self):
-        return (np.einsum("a,ija->ij", self.xi, self.d_g)
-                + np.einsum("aj,ai->ij", self.g, self.d_xi)
-                + np.einsum("ia,aj->ij", self.g, self.d_xi))
+        return (np.einsum("...a,...ija->...ij", self.xi, self.d_g)
+                + np.einsum("...aj,...ai->...ij", self.g, self.d_xi)
+                + np.einsum("...ia,...aj->...ij", self.g, self.d_xi))
 
     @cached_property
     def lie_xi_eta(self):
-        return (np.einsum("a,ia->i", self.xi, self.d_eta_partials)
-                + np.einsum("a,ai->i", self.eta, self.d_xi))
+        return (np.einsum("...a,...ia->...i", self.xi, self.d_eta_partials)
+                + np.einsum("...a,...ai->...i", self.eta, self.d_xi))
 
     @cached_property
     def lie_xi_dEta(self):
-        return (np.einsum("a,ija->ij", self.xi, self.d_dEta)
-                + np.einsum("aj,ai->ij", self.dEta, self.d_xi)
-                + np.einsum("ia,aj->ij", self.dEta, self.d_xi))
+        return (np.einsum("...a,...ija->...ij", self.xi, self.d_dEta)
+                + np.einsum("...aj,...ai->...ij", self.dEta, self.d_xi)
+                + np.einsum("...ia,...aj->...ij", self.dEta, self.d_xi))
+
+
+def block_jets(s: Structure, points: np.ndarray) -> list:
+    """One StructureJet per block of at most BLOCK_POINTS sample points."""
+    blocks = [points[i:i + BLOCK_POINTS] for i in range(0, len(points), BLOCK_POINTS)]
+    return parallel_map(lambda block: StructureJet(s, block), blocks)
 
 
 # --------------------------------------------------------------------------
-# Axiom residuals
+# Pointwise array helpers and the residual reducer
 # --------------------------------------------------------------------------
 
-def _sup(arr) -> float:
-    return float(np.max(np.abs(arr)))
+def transpose(a):
+    """Swap the last two axes (the matrix transpose at every point)."""
+    return np.swapaxes(a, -1, -2)
 
+
+def matvec(a, v):
+    return np.einsum("...ij,...j->...i", a, v)
+
+
+def outer(u, v):
+    return u[..., :, None] * v[..., None, :]
+
+
+def pointwise_sup(j: StructureJet, arr) -> np.ndarray:
+    """sup |arr| over the component axes, at each point of the jet."""
+    return np.abs(arr).reshape(j.point.shape[:-1] + (-1,)).max(axis=-1)
+
+
+def sup_at(values) -> tuple:
+    """(index, value) of the largest entry.
+
+    A NaN counts as the largest, so a residual that is not a number is the
+    worst value and can never pass.
+    """
+    values = np.ravel(values)
+    index = int(np.argmax(values))
+    return index, float(values[index])
+
+
+# --------------------------------------------------------------------------
+# Axiom residuals (one value per point)
+# --------------------------------------------------------------------------
 
 def _res_metric_symmetric(j: StructureJet):
-    return _sup(j.g - j.g.T)
+    return pointwise_sup(j, j.g - transpose(j.g))
 
 
 def _res_metric_positive(j: StructureJet):
     # factorization success is the test; the eigenvalue magnitude is only
-    # reported when it fails
-    sym = 0.5 * (j.g + j.g.T)
+    # reported where it fails
+    sym = 0.5 * (j.g + transpose(j.g))
+    flat = sym.reshape((-1,) + sym.shape[-2:])
+    out = np.zeros(len(flat))
     try:
-        np.linalg.cholesky(sym)
-        return 0.0
+        np.linalg.cholesky(flat)
     except np.linalg.LinAlgError:
-        smallest = float(np.min(np.linalg.eigvalsh(sym)))
-        return max(1e-300, -smallest)
+        for i, m in enumerate(flat):
+            try:
+                np.linalg.cholesky(m)
+            except np.linalg.LinAlgError:
+                out[i] = max(1e-300, -float(np.min(np.linalg.eigvalsh(m))))
+    return out.reshape(sym.shape[:-2])
 
 
 def _res_phi_square(j: StructureJet):
-    return _sup(j.phi2 + j.Q - np.outer(j.Qxi, j.eta))
+    return pointwise_sup(j, j.phi2 + j.Q - outer(j.Qxi, j.eta))
 
 
 def _res_eta_xi(j: StructureJet):
-    return abs(float(j.eta @ j.xi) - 1.0)
+    return np.abs(np.einsum("...i,...i->...", j.eta, j.xi) - 1.0)
 
 
 def _res_q_xi_alignment(j: StructureJet):
-    return _sup(j.Qxi - j.nu * j.xi)
+    return pointwise_sup(j, j.Qxi - np.asarray(j.nu)[..., None] * j.xi)
 
 
 def _res_phi_invariant(j: StructureJet):
-    """sup |eta(phi w)| over an exact basis of ker(eta) at the point."""
-    _, _, vh = np.linalg.svd(j.eta.reshape(1, -1))
-    kernel = vh[1:]  # rows span ker eta
-    vals = kernel @ j.phi.T @ j.eta
-    return _sup(vals) if vals.size else 0.0
+    """sup |eta(phi w)| over an exact basis of ker(eta) at each point."""
+    _, _, vh = np.linalg.svd(j.eta[..., None, :])
+    kernel = vh[..., 1:, :]  # rows span ker eta
+    vals = (kernel @ transpose(j.phi)) @ j.eta[..., None]
+    return pointwise_sup(j, vals)
 
 
 def _res_compatibility(j: StructureJet):
-    lhs = np.einsum("ai,bj,ab->ij", j.phi, j.phi, j.g)
-    rhs = np.einsum("ia,aj->ij", j.g, j.Q) - np.einsum("i,a,aj->ij", j.eta, j.eta, j.Q)
-    return _sup(lhs - rhs)
+    lhs = np.einsum("...ai,...bj,...ab->...ij", j.phi, j.phi, j.g)
+    rhs = (np.einsum("...ia,...aj->...ij", j.g, j.Q)
+           - np.einsum("...i,...a,...aj->...ij", j.eta, j.eta, j.Q))
+    return pointwise_sup(j, lhs - rhs)
 
 
 def _q_singular_ratio(j: StructureJet):
     sv = np.linalg.svd(j.Q, compute_uv=False)
-    return float(sv[-1] / sv[0]) if sv[0] > 0.0 else 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(sv[..., 0] > 0.0, sv[..., -1] / sv[..., 0], 0.0)
 
 
 def _res_phi_xi(j: StructureJet):
-    return _sup(j.phi @ j.xi)
+    return pointwise_sup(j, matvec(j.phi, j.xi))
 
 
 def _res_eta_phi(j: StructureJet):
-    return _sup(j.eta @ j.phi)
+    return pointwise_sup(j, np.einsum("...i,...ij->...j", j.eta, j.phi))
 
 
 def _res_q_phi_commute(j: StructureJet):
-    return _sup(j.Q @ j.phi - j.phi @ j.Q)
+    return pointwise_sup(j, j.Q @ j.phi - j.phi @ j.Q)
 
 
 def _res_phi_skew(j: StructureJet):
-    m = np.einsum("ai,aj->ij", j.phi, j.g)
-    return _sup(m + m.T)
+    m = np.einsum("...ai,...aj->...ij", j.phi, j.g)
+    return pointwise_sup(j, m + transpose(m))
 
 
 def _res_q_selfadjoint(j: StructureJet):
-    m = np.einsum("ai,aj->ij", j.Q, j.g)
-    return _sup(m - m.T)
+    m = np.einsum("...ai,...aj->...ij", j.Q, j.g)
+    return pointwise_sup(j, m - transpose(m))
 
 
 def _res_eta_is_g_xi(j: StructureJet):
-    return _sup(j.eta - j.g @ j.xi)
+    return pointwise_sup(j, j.eta - matvec(j.g, j.xi))
 
 
 def _phi_rank(j: StructureJet):
     sv = np.linalg.svd(j.phi, compute_uv=False)
-    return int(np.sum(sv > _RANK_RTOL * sv[0])) if sv[0] > 0.0 else 0
+    rank = np.sum(sv > RANK_RTOL * sv[..., :1], axis=-1)
+    return np.where(sv[..., 0] > 0.0, rank, 0)
 
 
 @dataclass(frozen=True)
@@ -414,6 +459,7 @@ class ValidationReport:
     rows: tuple
     nu: float | None
     structure: Structure | None
+    jets: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -479,56 +525,55 @@ def validate(s: Structure, plan: SamplePlan = DEFAULT_PLAN,
     """Check every axiom at each sample point; resolve nu if not supplied.
 
     Returns a report whose `structure` carries the resolved nu when all rows
-    pass (and also when only derived rows fail, so callers can inspect).
+    pass (and also when only derived rows fail, so callers can inspect), and
+    whose `jets` hold the block jets for a later Session over the same plan.
     """
     points = sample(s.chart, plan)
-    jets = [StructureJet(s, p) for p in points]
+    jets = block_jets(s, points)
 
-    def point_of(i: int) -> tuple:
-        return tuple(float(v) for v in points[i])
+    def per_point(fn) -> np.ndarray:
+        return np.concatenate([fn(j) for j in jets])
 
-    nu = s.nu if s.nu is not None else jets[0].nu_at_point
+    def row(axiom, kind, values, threshold, comparison, note="", floor=-np.inf):
+        worst = sup_at(values if comparison == "<=" else -values)[0]
+        value = float(np.maximum(values[worst], floor))
+        if not np.isfinite(value):
+            note = "; ".join(filter(None, (note, "residual is not finite")))
+        return AxiomRow(axiom, kind, value, threshold, comparison,
+                        tuple(float(v) for v in points[worst]), note)
+
+    nu = s.nu if s.nu is not None else float(jets[0].nu_at_point[0])
     resolved = s.with_nu(nu) if s.nu is None else s
     for j in jets:
         j.structure = resolved  # let jets see the resolved constant
 
-    rows = []
-    for axiom, kind, fn in _POINTWISE_AXIOMS:
-        values = [fn(j) for j in jets]
-        worst = int(np.argmax(values))
-        rows.append(AxiomRow(axiom, kind, float(values[worst]), tol, "<=",
-                             point_of(worst)))
+    rows = [row(axiom, kind, per_point(fn), tol, "<=")
+            for axiom, kind, fn in _POINTWISE_AXIOMS]
 
     # Q xi = nu xi with nu a positive constant.
-    align = [_res_q_xi_alignment(j) for j in jets]
-    drift = [abs(j.nu_at_point - nu) for j in jets]
-    values = [max(a, d) for a, d in zip(align, drift)]
-    worst = int(np.argmax(values))
-    note = ""
-    value = float(values[worst])
+    values = np.maximum(per_point(_res_q_xi_alignment),
+                        per_point(lambda j: np.abs(j.nu_at_point - nu)))
     if nu <= 0.0:
-        note = f"nu = {nu} is not positive"
-        value = max(value, 1.0 + abs(nu))
-    rows.insert(4, AxiomRow("q_xi_nu", "axiom", value, tol, "<=",
-                            point_of(worst), note))
+        q_row = row("q_xi_nu", "axiom", values, tol, "<=",
+                    f"nu = {nu} is not positive", 1.0 + abs(nu))
+    else:
+        q_row = row("q_xi_nu", "axiom", values, tol, "<=")
+    rows.insert(4, q_row)
 
     # Nonsingularity: smallest relative singular value must stay above threshold.
-    ratios = [_q_singular_ratio(j) for j in jets]
-    worst = int(np.argmin(ratios))
-    rows.insert(5, AxiomRow("q_nonsingular", "axiom", float(ratios[worst]),
-                            _RANK_RTOL, ">", point_of(worst)))
+    rows.insert(5, row("q_nonsingular", "axiom", per_point(_q_singular_ratio),
+                       RANK_RTOL, ">"))
 
     # Numeric rank of phi must equal 2n.
     target = s.chart.dim - 1
-    ranks = [_phi_rank(j) for j in jets]
-    deviations = [abs(r - target) for r in ranks]
-    worst = int(np.argmax(deviations))
-    rows.append(AxiomRow("phi_rank_2n", "derived", float(deviations[worst]), 0.0,
-                         "<=", point_of(worst),
-                         f"rank {ranks[worst]} vs 2n = {target}"))
+    ranks = per_point(_phi_rank)
+    deviations = np.abs(ranks - target).astype(float)
+    worst = sup_at(deviations)[0]
+    rows.append(row("phi_rank_2n", "derived", deviations, 0.0, "<=",
+                    f"rank {ranks[worst]} vs 2n = {target}"))
 
-    report = ValidationReport(s.name, plan, tol, tuple(rows), float(nu), resolved)
-    return report
+    return ValidationReport(s.name, plan, tol, tuple(rows), float(nu), resolved,
+                            tuple(jets))
 
 
 # --------------------------------------------------------------------------
@@ -621,13 +666,13 @@ def master_identity_terms(j: StructureJet):
 
     Index order is [X, Y, Z].
     """
-    lhs = 2.0 * np.einsum("mba,mc->abc", j.nabla_phi, j.g)
-    r1 = 3.0 * np.einsum("amn,mb,nc->abc", j.dPhi, j.phi, j.phi)
+    lhs = 2.0 * np.einsum("...mba,...mc->...abc", j.nabla_phi, j.g)
+    r1 = 3.0 * np.einsum("...amn,...mb,...nc->...abc", j.dPhi, j.phi, j.phi)
     r2 = -3.0 * j.dPhi
-    r3 = np.einsum("mbc,mn,na->abc", j.N1, j.g, j.phi)
-    r4 = np.einsum("bc,a->abc", j.N2, j.eta)
-    r5 = 2.0 * np.einsum("mb,ma,c->abc", j.phi, j.dEta, j.eta)
-    r6 = -2.0 * np.einsum("mc,ma,b->abc", j.phi, j.dEta, j.eta)
+    r3 = np.einsum("...mbc,...mn,...na->...abc", j.N1, j.g, j.phi)
+    r4 = np.einsum("...bc,...a->...abc", j.N2, j.eta)
+    r5 = 2.0 * np.einsum("...mb,...ma,...c->...abc", j.phi, j.dEta, j.eta)
+    r6 = -2.0 * np.einsum("...mc,...ma,...b->...abc", j.phi, j.dEta, j.eta)
     return lhs, r1 + r2 + r3 + r4 + r5 + r6 + j.N5
 
 
@@ -638,17 +683,17 @@ def master_identity_residual(j: StructureJet) -> np.ndarray:
 
 def contact_identity_residual(j: StructureJet) -> np.ndarray:
     """Reduction of the master identity for weak contact metric structures."""
-    lhs = 2.0 * np.einsum("mba,mc->abc", j.nabla_phi, j.g)
-    r3 = np.einsum("mbc,mn,na->abc", j.N1, j.g, j.phi)
-    r5 = 2.0 * np.einsum("mb,ma,c->abc", j.phi, j.dEta, j.eta)
-    r6 = -2.0 * np.einsum("mc,ma,b->abc", j.phi, j.dEta, j.eta)
+    lhs = 2.0 * np.einsum("...mba,...mc->...abc", j.nabla_phi, j.g)
+    r3 = np.einsum("...mbc,...mn,...na->...abc", j.N1, j.g, j.phi)
+    r5 = 2.0 * np.einsum("...mb,...ma,...c->...abc", j.phi, j.dEta, j.eta)
+    r6 = -2.0 * np.einsum("...mc,...ma,...b->...abc", j.phi, j.dEta, j.eta)
     return lhs - (r3 + r5 + r6 + j.N5)
 
 
 def xi_direction_identity_residual(j: StructureJet) -> np.ndarray:
     """2 g((nabla_xi phi) Y, Z) - N5(xi, Y, Z), as a (dim, dim) array."""
-    lhs = 2.0 * np.einsum("mba,mc,a->bc", j.nabla_phi, j.g, j.xi)
-    rhs = np.einsum("abc,a->bc", j.N5, j.xi)
+    lhs = 2.0 * np.einsum("...mba,...mc,...a->...bc", j.nabla_phi, j.g, j.xi)
+    rhs = np.einsum("...abc,...a->...bc", j.N5, j.xi)
     return lhs - rhs
 
 
@@ -661,18 +706,19 @@ def n2_reduction_residual(j: StructureJet) -> np.ndarray:
     rather than silently corrected.
     """
     Qt = j.Qtilde
-    Qtxi = Qt @ j.xi
+    Qtxi = matvec(Qt, j.xi)
     # U_a = Qtilde(e_a - eta_a xi), as a field built on coordinate extensions
-    U = Qt - np.outer(Qtxi, j.eta)
-    dQtxi = np.einsum("mnk,n->mk", j.d_Q, j.xi) + np.einsum("mn,nk->mk", Qt, j.d_xi)
+    U = Qt - outer(Qtxi, j.eta)
+    dQtxi = (np.einsum("...mnk,...n->...mk", j.d_Q, j.xi)
+             + np.einsum("...mn,...nk->...mk", Qt, j.d_xi))
     dU = (j.d_Q
-          - np.einsum("ak,m->mak", j.d_eta_partials, Qtxi)
-          - np.einsum("a,mk->mak", j.eta, dQtxi))
-    bracket = (np.einsum("ka,ibk->iab", U, j.d_phi)
-               - np.einsum("kb,iak->iab", j.phi, dU))
-    f1 = np.einsum("i,iab->ab", j.eta, bracket)
-    ctil = float(Qtxi @ j.g @ j.xi)
-    f2 = -ctil * np.einsum("m,mab->ab", j.eta, j.d_phi)
+          - np.einsum("...ak,...m->...mak", j.d_eta_partials, Qtxi)
+          - np.einsum("...a,...mk->...mak", j.eta, dQtxi))
+    bracket = (np.einsum("...ka,...ibk->...iab", U, j.d_phi)
+               - np.einsum("...kb,...iak->...iab", j.phi, dU))
+    f1 = np.einsum("...i,...iab->...ab", j.eta, bracket)
+    ctil = np.einsum("...i,...ij,...j->...", Qtxi, j.g, j.xi)[..., None, None]
+    f2 = -ctil * np.einsum("...m,...mab->...ab", j.eta, j.d_phi)
     return j.N2 - f1 - f2
 
 
@@ -683,76 +729,77 @@ def n2_reduction_residual_nu_weighted(j: StructureJet) -> np.ndarray:
     eliminating eta([xi, phi .]) = 0; reduces to the unweighted form when
     nu = 1 and vanishes on every normal example at machine precision.
     """
-    nu = j.nu
-    br_qt = (np.einsum("ka,mbk->mab", j.Qtilde, j.d_phi)
-             - np.einsum("kb,mak->mab", j.phi, j.d_Q))
-    eta_qt = np.einsum("m,mab->ab", j.eta, br_qt)
+    nu = np.asarray(j.nu)[..., None, None]
+    br_qt = (np.einsum("...ka,...mbk->...mab", j.Qtilde, j.d_phi)
+             - np.einsum("...kb,...mak->...mab", j.phi, j.d_Q))
+    eta_qt = np.einsum("...m,...mab->...ab", j.eta, br_qt)
     # eta([e_a, phi e_b]) on coordinate extensions
-    eta_x_phiy = np.einsum("m,mba->ab", j.eta, j.d_phi)
+    eta_x_phiy = np.einsum("...m,...mba->...ab", j.eta, j.d_phi)
     return j.N2 - (eta_qt / nu) + ((nu - 1.0) / nu) * eta_x_phiy
 
 
 def h_adjoint_identity_residual(j: StructureJet) -> np.ndarray:
     """g((h - h*) X, Y) minus its bracket expansion."""
     H, _ = j._proj_metric
-    lhs = np.einsum("ma,mb->ab", j.h - j.h_star, j.g)
-    K = np.einsum("k,mbk->mb", j.xi, j.d_phi) - np.einsum("kb,mk->mb", j.phi, j.d_xi)
-    rhs = (np.einsum("mb,mn,na->ab", K, H, j.Qtilde)
-           - np.einsum("ma,mn,nb->ab", K, H, j.Qtilde))
+    lhs = np.einsum("...ma,...mb->...ab", j.h - j.h_star, j.g)
+    K = (np.einsum("...k,...mbk->...mb", j.xi, j.d_phi)
+         - np.einsum("...kb,...mk->...mb", j.phi, j.d_xi))
+    rhs = (np.einsum("...mb,...mn,...na->...ab", K, H, j.Qtilde)
+           - np.einsum("...ma,...mn,...nb->...ab", K, H, j.Qtilde))
     return lhs - rhs
 
 
 def h_anticommutator_identity_residual(j: StructureJet) -> np.ndarray:
     """(h phi + phi h) X minus (1/2)([Qtilde X, xi] - Qtilde [X, xi])."""
-    rhs = 0.5 * (np.einsum("ka,mk->ma", j.Qtilde, j.d_xi)
-                 - np.einsum("k,mak->ma", j.xi, j.d_Q)
-                 - np.einsum("mk,ka->ma", j.Qtilde, j.d_xi))
+    rhs = 0.5 * (np.einsum("...ka,...mk->...ma", j.Qtilde, j.d_xi)
+                 - np.einsum("...k,...mak->...ma", j.xi, j.d_Q)
+                 - np.einsum("...mk,...ka->...ma", j.Qtilde, j.d_xi))
     return j.A_op - rhs
 
 
 def q_nabla_xi_identity_residual(j: StructureJet) -> np.ndarray:
     """g(Q nabla_X xi, Z) minus g((phi + h phi) Z, Q X) + (1/2) N5(X, xi, phi Z)."""
-    lhs = np.einsum("mk,ka,mb->ab", j.Q, j.nabla_xi, j.g)
+    lhs = np.einsum("...mk,...ka,...mb->...ab", j.Q, j.nabla_xi, j.g)
     op = j.phi + j.h @ j.phi
-    rhs = (np.einsum("mb,na,mn->ab", op, j.Q, j.g)
-           - 0.5 * np.einsum("akm,k,mb->ab", j.N5, j.xi, j.phi))
+    rhs = (np.einsum("...mb,...na,...mn->...ab", op, j.Q, j.g)
+           - 0.5 * np.einsum("...akm,...k,...mb->...ab", j.N5, j.xi, j.phi))
     return lhs - rhs
 
 
 def b_phi_identity_residual(j: StructureJet) -> np.ndarray:
     """N5(phi^2 Y, xi, X) - N5(phi X, xi, phi Y) - 2 g(((h*-h)phi + 2 phi h) X, Y)."""
-    t1 = np.einsum("abj,ak,b->jk", j.N5, j.phi2, j.xi)
-    t2 = -np.einsum("abc,aj,b,ck->jk", j.N5, j.phi, j.xi, j.phi)
+    t1 = np.einsum("...abj,...ak,...b->...jk", j.N5, j.phi2, j.xi)
+    t2 = -np.einsum("...abc,...aj,...b,...ck->...jk", j.N5, j.phi, j.xi, j.phi)
     op = j.B_op @ j.phi + 2.0 * (j.phi @ j.h)
-    rhs = 2.0 * np.einsum("mj,mk->jk", op, j.g)
+    rhs = 2.0 * np.einsum("...mj,...mk->...jk", op, j.g)
     return t1 + t2 - rhs
 
 
 def sasakian_nabla_phi_residual(j: StructureJet) -> np.ndarray:
     """g((nabla_X phi) Y, Z) minus the Sasakian-type closed form."""
-    lhs = np.einsum("mba,mc->abc", j.nabla_phi, j.g)
-    QG = np.einsum("ma,mb->ab", j.Q, j.g)
-    rhs = (np.einsum("ab,c->abc", QG, j.eta)
-           - np.einsum("ac,b->abc", QG, j.eta)
+    lhs = np.einsum("...mba,...mc->...abc", j.nabla_phi, j.g)
+    QG = np.einsum("...ma,...mb->...ab", j.Q, j.g)
+    rhs = (np.einsum("...ab,...c->...abc", QG, j.eta)
+           - np.einsum("...ac,...b->...abc", QG, j.eta)
            + 0.5 * j.N5)
     return lhs - rhs
 
 
 def cosymplectic_nabla_phi_residual(j: StructureJet) -> np.ndarray:
     """2 g((nabla_X phi) Y, Z) - N5(X, Y, Z)."""
-    return 2.0 * np.einsum("mba,mc->abc", j.nabla_phi, j.g) - j.N5
+    return 2.0 * np.einsum("...mba,...mc->...abc", j.nabla_phi, j.g) - j.N5
 
 
 def cosymplectic_dphi_residual(j: StructureJet) -> np.ndarray:
     """6 dPhi(X, Y, Z) minus the cyclic N5 sum."""
-    cyc = j.N5 + np.einsum("bca->abc", j.N5) + np.einsum("cab->abc", j.N5)
+    cyc = j.N5 + np.einsum("...bca->...abc", j.N5) + np.einsum("...cab->...abc", j.N5)
     return 6.0 * j.dPhi - cyc
 
 
 def cosymplectic_torsion_residual(j: StructureJet) -> np.ndarray:
     """2 g([phi,phi](X, Y), Z) minus the phi-shifted cyclic N5 sum."""
-    lhs = 2.0 * np.einsum("mab,mc->abc", j.nijenhuis_phi, j.g)
-    rhs = (np.einsum("mbc,ma->abc", j.N5, j.phi)
-           + np.einsum("mca,mb->abc", j.N5, j.phi)
-           + np.einsum("mab,mc->abc", j.N5, j.phi))
+    lhs = 2.0 * np.einsum("...mab,...mc->...abc", j.nijenhuis_phi, j.g)
+    rhs = (np.einsum("...mbc,...ma->...abc", j.N5, j.phi)
+           + np.einsum("...mca,...mb->...abc", j.N5, j.phi)
+           + np.einsum("...mab,...mc->...abc", j.N5, j.phi))
     return lhs - rhs

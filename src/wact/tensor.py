@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import BaseChart
-from .errors import SingularMetricError, SlotMismatchError
+from .errors import DomainError, SingularMetricError, SlotMismatchError
 from .expr import ScalarExpr, parse
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -187,28 +187,42 @@ class TensorField:
             out[idx] = self.comps[idx].evaluate(point)
         return out
 
-    def jet(self, point):
-        """(values, gradients) with the derivative axis appended last."""
-        dim = self.chart.dim
-        val = np.empty(self.comps.shape, dtype=float)
-        grad = np.empty(self.comps.shape + (dim,), dtype=float)
+    def jet(self, points, name: str = "field"):
+        """(values, gradients) at one point or a (P, dim) block of points.
+
+        Block results carry the point axis first; the derivative axis is
+        appended last.  A DomainError names the field, the component and the
+        first offending point.
+        """
+        pts = np.asarray(points, dtype=float)
+        lead = pts.shape[:-1]
+        val = np.empty(lead + self.comps.shape)
+        grad = np.empty(lead + self.comps.shape + (self.chart.dim,))
         for idx in np.ndindex(self.comps.shape):
-            v, d = self.comps[idx].jet1(point)
-            val[idx] = v
-            grad[idx] = d
+            try:
+                v, d = self.comps[idx].jet1(pts)
+            except DomainError as err:
+                raise _located(err, name, idx, pts) from None
+            val[(...,) + idx] = v
+            grad[(...,) + idx + (slice(None),)] = d
         return val, grad
 
-    def jet2(self, point):
+    def jet2(self, points, name: str = "field"):
         """(values, gradients, hessians); hessian axes appended last."""
+        pts = np.asarray(points, dtype=float)
+        lead = pts.shape[:-1]
         dim = self.chart.dim
-        val = np.empty(self.comps.shape, dtype=float)
-        grad = np.empty(self.comps.shape + (dim,), dtype=float)
-        hess = np.empty(self.comps.shape + (dim, dim), dtype=float)
+        val = np.empty(lead + self.comps.shape)
+        grad = np.empty(lead + self.comps.shape + (dim,))
+        hess = np.empty(lead + self.comps.shape + (dim, dim))
         for idx in np.ndindex(self.comps.shape):
-            v, d, h = self.comps[idx].jet2(point)
-            val[idx] = v
-            grad[idx] = d
-            hess[idx] = h
+            try:
+                v, d, h = self.comps[idx].jet2(pts)
+            except DomainError as err:
+                raise _located(err, name, idx, pts) from None
+            val[(...,) + idx] = v
+            grad[(...,) + idx + (slice(None),)] = d
+            hess[(...,) + idx + (slice(None), slice(None))] = h
         return val, grad, hess
 
     def evaluate(self, point) -> TensorValue:
@@ -221,6 +235,14 @@ class TensorField:
                 return arr.to_source()
             return [walk(arr[i]) for i in range(arr.shape[0])]
         return walk(self.comps)
+
+
+def _located(err: DomainError, name: str, idx: tuple, pts: np.ndarray) -> DomainError:
+    """The error of one component, naming the field, the component and the point."""
+    point = pts[err.index or 0] if pts.ndim == 2 else pts
+    where = name + "".join(f"[{i}]" for i in idx)
+    coords = ", ".join(repr(float(v)) for v in point)
+    return DomainError(f"{where}: {err.message} at sample point ({coords})", err.index)
 
 
 def _float_source(v: float) -> str:

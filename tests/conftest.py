@@ -16,7 +16,7 @@ from wact.chart import Chart, SamplePlan
 from wact.classify import Session
 from wact.deform import DeformParams, deform
 from wact.fileio import load_bundled
-from wact.structure import validate
+from wact.structure import StructureJet, validate
 from wact.tensor import TensorField
 
 PLAN = SamplePlan(count=100, seed=42, margin=0.05)
@@ -153,3 +153,8 @@ def sessions():
 
 def sup(arr) -> float:
     return float(np.max(np.abs(np.asarray(arr))))
+
+
+def point_jets(ses: Session, count=None) -> list:
+    """Single-point jets at the session's first `count` sample points."""
+    return [StructureJet(ses.structure, p) for p in ses.points[:count]]

@@ -1,6 +1,10 @@
 """Command line interface: exit codes, reports, determinism, pipelines."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from wact.cli import main
 from wact.fileio import bundled_path
@@ -216,3 +220,24 @@ def test_threads_env_does_not_change_results(tmp_path, capsys, monkeypatch):
     assert run("verify", PRODUCT, "--points", "40", "--json", str(b)) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_openblas_threads_do_not_change_report_bytes(tmp_path):
+    # stacked matrix products over the point axis may reach BLAS, so the
+    # report must not depend on its thread count; run in fresh processes,
+    # because OpenBLAS reads the variable once, when it loads
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    reports = []
+    for threads in (None, "1"):
+        env = dict(os.environ)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"report-{threads}.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "wact.cli", "verify", PRODUCT, "--json", str(out)],
+            env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr.decode()
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
