@@ -80,15 +80,6 @@ def _lift_env(env, dim):
             for i in range(dim)]
 
 
-def field_values(field, point) -> np.ndarray:
-    """Float components of any field-like object at a point."""
-    raw = field.at([float(x) for x in point])
-    out = np.empty(raw.shape, dtype=float)
-    for idx in np.ndindex(raw.shape):
-        out[idx] = dm.real_part(raw[idx])
-    return out
-
-
 def field_jet(field, point):
     """(values, gradients) of a field-like object; derivative axis last."""
     dim = field.chart.dim

@@ -1,16 +1,24 @@
-"""Classification flags and the named residual-check registry.
+"""Classification flags and the named residual-check registry, as tables.
 
-Every check contracts its residual tensor with 5 deterministic test-vector
-tuples per sample point and reports the sup over points and tuples.
+`RESIDUALS` maps each residual key to a function of a block jet and to how
+its array is reduced: componentwise (the sup of |entries| over the sample
+points) or contracted over 2 or 3 slots with 5 deterministic test-vector
+tuples per point (the sup over points and tuples).  `Session.residual`
+reduces each key once per Session.  A flag in `FLAGS` is the worst of its
+keys.  A check in `CHECKS` is one row: claim, hypothesis keys, implications
+and detail keys, and `Check.run` turns it into a `CheckResult`.
 Equivalences are split into one-directional implications: a direction whose
 hypothesis residual exceeds the tolerance is reported as n/a, and a satisfied
-hypothesis must push the conclusion residual below 10x the tolerance.
+hypothesis must push the conclusion residual below 10x the tolerance.  An
+identity needs no hypothesis slack: its residual must stay below the
+tolerance itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +44,69 @@ def _worst(*values) -> float:
     return st.sup_at(values)[1]
 
 
+def _antisymmetric_part(m):
+    return 0.5 * (m - st.transpose(m))
+
+
+# key -> (function of a block jet, test-vector slots contracted; 0 = componentwise)
+RESIDUALS = {
+    "phi_square": (st._res_phi_square, 0),
+    "eta_xi": (st._res_eta_xi, 0),
+    "q_xi_alignment": (st._res_q_xi_alignment, 0),
+    "phi_invariant": (st._res_phi_invariant, 0),
+    "compatibility": (st._res_compatibility, 0),
+    "contact": (lambda j: j.Phi - j.dEta, 0),
+    "killing": (lambda j: j.lie_xi_g, 0),
+    "n1": (lambda j: j.N1, 0),
+    "d_eta": (lambda j: j.dEta, 0),
+    "d_phi": (lambda j: j.dPhi, 0),
+    "nabla_phi": (lambda j: j.nabla_phi, 0),
+    "n2": (lambda j: j.N2, 0),
+    "n3": (lambda j: j.N3, 0),
+    "n4": (lambda j: j.N4, 0),
+    "n5": (lambda j: j.N5, 0),
+    "n1_torsion": (lambda j: j.N1 - j.nijenhuis_phi, 0),
+    "nabla_xi_xi": (lambda j: j.nabla_xi_xi, 0),
+    "iota_xi_d_eta": (lambda j: st.matvec(j.dEta, j.xi), 0),
+    "lie_xi_eta": (lambda j: j.lie_xi_eta, 0),
+    "lie_xi_d_eta": (lambda j: j.lie_xi_dEta, 0),
+    "h_xi": (lambda j: st.matvec(j.h, j.xi), 0),
+    "q_is_nu_on_D": (lambda j: (j.Q @ j.projector) - j.nu * j.projector, 0),
+    "n2_reduction": (st.n2_reduction_residual, 2),
+    # the stated reduction is not antisymmetric for nu != 1: its symmetric
+    # part, and the nu-weighted variant that is, are reported beside it
+    "n2_reduction_antisymmetrized":
+        (lambda j: _antisymmetric_part(st.n2_reduction_residual(j)), 2),
+    "n2_reduction_nu_weighted": (st.n2_reduction_residual_nu_weighted, 2),
+    "master_identity": (st.master_identity_residual, 3),
+    "contact_reduction": (st.contact_identity_residual, 3),
+    "xi_direction": (st.xi_direction_identity_residual, 2),
+    "h_adjoint_defect": (st.h_adjoint_identity_residual, 2),
+    "h_anticommutator_defect": (st.h_anticommutator_identity_residual, 2),
+    "q_weighted_nabla_xi": (st.q_nabla_xi_identity_residual, 2),
+    "n5_pairing": (st.b_phi_identity_residual, 2),
+    "sasakian_nabla_phi": (st.sasakian_nabla_phi_residual, 3),
+    "cosymplectic_nabla_phi": (st.cosymplectic_nabla_phi_residual, 3),
+    "cosymplectic_d_phi": (st.cosymplectic_dphi_residual, 3),
+    "cosymplectic_torsion": (st.cosymplectic_torsion_residual, 3),
+}
+
+# flag -> the residual keys it takes the worst of
+FLAGS = {
+    "weak_almost_contact_metric":
+        ("phi_square", "eta_xi", "q_xi_alignment", "phi_invariant", "compatibility"),
+    "weak_contact_metric": ("contact",),
+    "weak_K_contact": ("killing",),
+    "normal": ("n1",),
+    "weak_Sasakian": ("n1", "contact"),
+    "weak_almost_cosymplectic": ("d_eta", "d_phi"),
+    "weak_cosymplectic": ("d_eta", "d_phi", "n1"),
+    "phi_parallel": ("nabla_phi",),
+}
+
+
 class Session:
-    """Shared per-run cache: sample points, block jets, and test vectors.
+    """Shared per-run cache: sample points, block jets, test vectors, sups.
 
     `jets` may be handed over from `validate` over the same plan, so the
     field jets are evaluated once per run.
@@ -51,6 +120,7 @@ class Session:
         self.plan = plan
         self.tol = tol
         self.points = sample(s.chart, plan)
+        self._sups = {}
         if jets is not None:
             self.jets = list(jets)
 
@@ -84,33 +154,21 @@ class Session:
         blocks = zip(self.jets, np.split(self.vectors, ends))
         return _worst(*parallel_map(per_block, list(blocks)))
 
+    def residual(self, key: str) -> float:
+        """Sup of a `RESIDUALS` key, or a flag's residual; each is reduced once."""
+        if key in FLAGS:
+            return self.flag_residuals[key]
+        if key not in self._sups:
+            fn, slots = RESIDUALS[key]
+            self._sups[key] = (self.sup_contracted(fn, slots) if slots
+                               else self.sup_pointwise(fn))
+        return self._sups[key]
+
     # -- flags ------------------------------------------------------------------
 
     @cached_property
     def flag_residuals(self) -> dict:
-        axioms = _worst(
-            self.sup_pointwise(st._res_phi_square),
-            self.sup_pointwise(st._res_eta_xi),
-            self.sup_pointwise(st._res_q_xi_alignment),
-            self.sup_pointwise(st._res_phi_invariant),
-            self.sup_pointwise(st._res_compatibility),
-        )
-        contact = self.sup_pointwise(lambda j: j.Phi - j.dEta)
-        killing = self.sup_pointwise(lambda j: j.lie_xi_g)
-        normal = self.sup_pointwise(lambda j: j.N1)
-        d_eta = self.sup_pointwise(lambda j: j.dEta)
-        d_phi_form = self.sup_pointwise(lambda j: j.dPhi)
-        parallel = self.sup_pointwise(lambda j: j.nabla_phi)
-        return {
-            "weak_almost_contact_metric": axioms,
-            "weak_contact_metric": contact,
-            "weak_K_contact": killing,
-            "normal": normal,
-            "weak_Sasakian": _worst(normal, contact),
-            "weak_almost_cosymplectic": _worst(d_eta, d_phi_form),
-            "weak_cosymplectic": _worst(d_eta, d_phi_form, normal),
-            "phi_parallel": parallel,
-        }
+        return {name: _worst(*map(self.residual, keys)) for name, keys in FLAGS.items()}
 
     @cached_property
     def q_scalar_on_D(self) -> tuple:
@@ -126,22 +184,6 @@ class Session:
         lambdas = np.concatenate(lambdas)
         lam0 = float(lambdas[0])
         return lam0, _worst(*deviations, np.max(np.abs(lambdas - lam0)))
-
-    def is_set(self, flag: str) -> bool:
-        return self.flag_residuals[flag] <= self.tol
-
-
-FLAG_ORDER = (
-    "weak_almost_contact_metric",
-    "weak_contact_metric",
-    "weak_K_contact",
-    "normal",
-    "weak_Sasakian",
-    "weak_almost_cosymplectic",
-    "weak_cosymplectic",
-    "phi_parallel",
-    "Q_scalar_on_D",
-)
 
 
 @dataclass(frozen=True)
@@ -182,15 +224,11 @@ def classify(s: Structure, plan: SamplePlan = DEFAULT_PLAN,
              tol: float = st.DEFAULT_TOL, session: Session | None = None) -> Classification:
     """Evaluate every classification flag of a validated structure."""
     ses = session or Session(s, plan, tol)
-    flags = {}
-    for name in FLAG_ORDER:
-        if name == "Q_scalar_on_D":
-            lam, residual = ses.q_scalar_on_D
-            flags[name] = FlagResult(name, residual, tol, residual <= tol,
-                                     {"lambda": lam})
-        else:
-            residual = ses.flag_residuals[name]
-            flags[name] = FlagResult(name, residual, tol, residual <= tol)
+    flags = {name: FlagResult(name, residual, tol, residual <= tol)
+             for name, residual in ses.flag_residuals.items()}
+    lam, residual = ses.q_scalar_on_D
+    flags["Q_scalar_on_D"] = FlagResult("Q_scalar_on_D", residual, tol, residual <= tol,
+                                        {"lambda": lam})
     return Classification(s.name, ses.plan, tol, flags)
 
 
@@ -248,19 +286,22 @@ class CheckReport:
         }
 
 
+IMPLIES, IDENTITY, ALWAYS = "implies", "identity", "always"
+
+
 def _implication(name: str, hyp_residual: float, concl_residual: float,
-                 tol: float) -> dict:
-    holds = hyp_residual <= tol
-    ok = (not holds) or concl_residual <= IMPLICATION_FACTOR * tol
+                 tol: float, kind: str = IMPLIES) -> dict:
+    """One implication; an identity's conclusion must stay below `tol` itself."""
+    holds = kind == ALWAYS or hyp_residual <= tol
+    ok = (concl_residual <= tol if kind != IMPLIES
+          else (not holds) or concl_residual <= IMPLICATION_FACTOR * tol)
     return {"name": name, "hypothesis_residual": hyp_residual,
             "conclusion_residual": concl_residual,
             "applicable": holds, "ok": ok}
 
 
-def _verdict_from(parts, applicable: bool) -> tuple:
+def _verdict_from(parts) -> tuple:
     """Combine implication sub-results into (verdict, residual)."""
-    if not applicable:
-        return "n/a", None
     live = [p for p in parts if p["applicable"]]
     if not live:
         return "n/a", None
@@ -269,253 +310,122 @@ def _verdict_from(parts, applicable: bool) -> tuple:
     return verdict, residual
 
 
-def _antisymmetric_part(m):
-    return 0.5 * (m - st.transpose(m))
+class Implication(NamedTuple):
+    """Hypothesis (the check's premise, worst with `also`) => conclusion key.
+
+    An IDENTITY is listed only when its hypothesis holds; an ALWAYS identity
+    has hypothesis residual 0 and is always listed.
+    """
+    name: str
+    conclusion: str
+    also: tuple = ()
+    kind: str = IMPLIES
 
 
-def _check_t1(ses: Session, tol: float) -> CheckResult:
-    hyp = ses.flag_residuals["normal"]
-    n3 = ses.sup_pointwise(lambda j: j.N3)
-    n4 = ses.sup_pointwise(lambda j: j.N4)
-    n2_form = ses.sup_contracted(st.n2_reduction_residual, 2)
-    # flags: the symmetric part of the stated reduction (it is not
-    # antisymmetric for nu != 1) and the nu-weighted variant that is.
-    n2_antisym = ses.sup_contracted(
-        lambda j: _antisymmetric_part(st.n2_reduction_residual(j)), 2)
-    n2_nu = ses.sup_contracted(st.n2_reduction_residual_nu_weighted, 2)
-    parts = [
-        _implication("n3_vanishes", hyp, n3, tol),
-        _implication("n4_vanishes", hyp, n4, tol),
-        _implication("n2_reduction", hyp, n2_form, tol),
-    ]
-    verdict, residual = _verdict_from(parts, hyp <= tol)
-    return CheckResult(
-        "T1",
-        "normality (N1 = 0) forces N3 = 0 and N4 = 0 and reduces N2 to its "
-        "Qtilde-commutator form",
-        verdict, residual, tol, {"normal": hyp},
-        {"implications": parts,
-         "n2_reduction_antisymmetrized": n2_antisym,
-         "n2_reduction_nu_weighted": n2_nu})
+@dataclass(frozen=True)
+class Check:
+    id: str
+    claim: str
+    hypothesis: tuple      # keys reported as the hypothesis; the first is the premise
+    implications: tuple
+    details: tuple = ()    # keys reported beside the implications
+    either: bool = False   # the premise holds when any hypothesis key holds
+    with_nu: bool = False  # report the structure's nu beside the hypothesis
+
+    def run(self, ses: Session, tol: float) -> CheckResult:
+        hypothesis = {key: ses.residual(key) for key in self.hypothesis}
+        premise = (float(np.fmin.reduce(list(hypothesis.values()))) if self.either
+                   else hypothesis[self.hypothesis[0]])
+        if self.with_nu:
+            hypothesis["nu"] = ses.structure.nu
+        parts = []
+        for imp in self.implications:
+            hyp = 0.0 if imp.kind == ALWAYS else _worst(premise, *map(ses.residual, imp.also))
+            if imp.kind == IDENTITY and not hyp <= tol:
+                continue
+            parts.append(_implication(imp.name, hyp, ses.residual(imp.conclusion), tol,
+                                      imp.kind))
+        verdict, residual = _verdict_from(parts)
+        details = {"implications": parts, **{key: ses.residual(key) for key in self.details}}
+        return CheckResult(self.id, self.claim, verdict, residual, tol, hypothesis, details)
 
 
-def _check_p1(ses: Session, tol: float) -> CheckResult:
-    wcm = ses.flag_residuals["weak_contact_metric"]
-    normal = ses.flag_residuals["normal"]
-    hyp = float(np.fmin(wcm, normal))  # either class suffices; NaN only if both are
-    geodesic = ses.sup_pointwise(lambda j: j.nabla_xi_xi)
-    interior = ses.sup_pointwise(lambda j: st.matvec(j.dEta, j.xi))
-    lie_eta = ses.sup_pointwise(lambda j: j.lie_xi_eta)
-    parts = [
-        _implication("xi_geodesic", hyp, geodesic, tol),
-        _implication("iota_xi_d_eta", hyp, interior, tol),
-        _implication("lie_xi_eta", hyp, lie_eta, tol),
-    ]
-    verdict, residual = _verdict_from(parts, hyp <= tol)
-    return CheckResult(
-        "P1",
-        "contact metric or normal case: xi-curves are geodesics and the "
-        "xi-contraction of d(eta) vanishes",
-        verdict, residual, tol,
-        {"weak_contact_metric": wcm, "normal": normal},
-        {"implications": parts})
-
-
-def _check_t2(ses: Session, tol: float) -> CheckResult:
-    hyp = ses.flag_residuals["weak_contact_metric"]
-    n2 = ses.sup_pointwise(lambda j: j.N2)
-    n4 = ses.sup_pointwise(lambda j: j.N4)
-    killing = ses.flag_residuals["weak_K_contact"]
-    n3 = ses.sup_pointwise(lambda j: j.N3)
-    lie_deta = ses.sup_pointwise(lambda j: j.lie_xi_dEta)
-    applicable = hyp <= tol
-    parts = [
-        _implication("n2_vanishes", hyp, n2, tol),
-        _implication("n4_vanishes", hyp, n4, tol),
-        _implication("d_eta_xi_invariant", hyp, lie_deta, tol),
-        _implication("killing_implies_n3", _worst(hyp, killing), n3, tol),
-        _implication("n3_implies_killing", _worst(hyp, n3), killing, tol),
-    ]
-    verdict, residual = _verdict_from(parts, applicable)
-    return CheckResult(
-        "T2",
-        "contact metric case: N2 = N4 = 0; xi is Killing exactly when N3 = 0; "
-        "d(eta) is invariant along xi",
-        verdict, residual, tol,
-        {"weak_contact_metric": hyp, "killing": killing, "n3": n3},
-        {"implications": parts})
-
-
-def _check_l1(ses: Session, tol: float) -> CheckResult:
-    master = ses.sup_contracted(st.master_identity_residual, 3)
-    wcm = ses.flag_residuals["weak_contact_metric"]
-    parts = [{"name": "master_identity", "hypothesis_residual": 0.0,
-              "conclusion_residual": master, "applicable": True,
-              "ok": master <= tol}]
-    if wcm <= tol:
-        reduced = ses.sup_contracted(st.contact_identity_residual, 3)
-        xi_dir = ses.sup_contracted(st.xi_direction_identity_residual, 2)
-        parts.append(_implication("contact_reduction", wcm, reduced, tol))
-        parts[-1]["ok"] = reduced <= tol  # identity, not implication slack
-        parts.append(_implication("xi_direction", wcm, xi_dir, tol))
-        parts[-1]["ok"] = xi_dir <= tol
-    verdict, residual = _verdict_from(parts, True)
-    return CheckResult(
-        "L1",
-        "the covariant derivative of phi matches its six-term expansion, and "
-        "its contact metric reduction including the xi-direction form",
-        verdict, residual, tol, {"weak_contact_metric": wcm},
-        {"implications": parts})
-
-
-def _check_l2(ses: Session, tol: float) -> CheckResult:
-    hyp = ses.flag_residuals["weak_contact_metric"]
-    adj = ses.sup_contracted(st.h_adjoint_identity_residual, 2)
-    anti = ses.sup_contracted(st.h_anticommutator_identity_residual, 2)
-    qnab = ses.sup_contracted(st.q_nabla_xi_identity_residual, 2)
-    hxi = ses.sup_pointwise(lambda j: st.matvec(j.h, j.xi))
-    parts = [
-        _implication("h_adjoint_defect", hyp, adj, tol),
-        _implication("h_anticommutator_defect", hyp, anti, tol),
-        _implication("q_weighted_nabla_xi", hyp, qnab, tol),
-        _implication("h_xi_zero", hyp, hxi, tol),
-    ]
-    verdict, residual = _verdict_from(parts, hyp <= tol)
-    return CheckResult(
-        "L2",
-        "h-tensor relations: adjoint defect, anticommutator defect, h xi = 0, "
-        "and the Q-weighted derivative of xi",
-        verdict, residual, tol, {"weak_contact_metric": hyp},
-        {"implications": parts})
-
-
-def _check_p2(ses: Session, tol: float) -> CheckResult:
-    hyp = ses.flag_residuals["weak_contact_metric"]
-    res = ses.sup_contracted(st.b_phi_identity_residual, 2)
-    parts = [_implication("n5_pairing", hyp, res, tol)]
-    verdict, residual = _verdict_from(parts, hyp <= tol)
-    return CheckResult(
-        "P2",
-        "N5 pairing identity linking (h* - h) phi and 2 phi h",
-        verdict, residual, tol, {"weak_contact_metric": hyp},
-        {"implications": parts})
-
-
-def _check_s1(ses: Session, tol: float) -> CheckResult:
-    hyp = ses.flag_residuals["weak_Sasakian"]
-    res = ses.sup_contracted(st.sasakian_nabla_phi_residual, 3)
-    parts = [_implication("nabla_phi_closed_form", hyp, res, tol)]
-    verdict, residual = _verdict_from(parts, hyp <= tol)
-    return CheckResult(
-        "S1",
-        "Sasakian-type closed form of the covariant derivative of phi",
-        verdict, residual, tol, {"weak_Sasakian": hyp},
-        {"implications": parts})
-
-
-def _check_s2(ses: Session, tol: float) -> CheckResult:
-    hyp = ses.flag_residuals["weak_Sasakian"]
-    nu = ses.structure.nu
-    res = ses.sup_pointwise(lambda j: (j.Q @ j.projector) - nu * j.projector)
-    parts = [_implication("q_is_nu_on_D", hyp, res, tol)]
-    verdict, residual = _verdict_from(parts, hyp <= tol)
-    return CheckResult(
-        "S2",
-        "rigidity: on a weak Sasakian structure Q restricted to the contact "
-        "distribution is nu times the identity",
-        verdict, residual, tol, {"weak_Sasakian": hyp, "nu": nu},
-        {"implications": parts})
-
-
-def _check_c1(ses: Session, tol: float) -> CheckResult:
-    hyp = ses.flag_residuals["weak_almost_cosymplectic"]
-    n2 = ses.sup_pointwise(lambda j: j.N2)
-    n4 = ses.sup_pointwise(lambda j: j.N4)
-    n1_torsion = ses.sup_pointwise(lambda j: j.N1 - j.nijenhuis_phi)
-    killing = ses.flag_residuals["weak_K_contact"]
-    n3 = ses.sup_pointwise(lambda j: j.N3)
-    parts = [
-        _implication("n2_vanishes", hyp, n2, tol),
-        _implication("n4_vanishes", hyp, n4, tol),
-        _implication("n1_is_torsion", hyp, n1_torsion, tol),
-        _implication("killing_implies_n3", _worst(hyp, killing), n3, tol),
-        _implication("n3_implies_killing", _worst(hyp, n3), killing, tol),
-    ]
-    verdict, residual = _verdict_from(parts, hyp <= tol)
-    return CheckResult(
-        "C1",
-        "closed forms: N2 = N4 = 0, N1 reduces to the Nijenhuis torsion, "
-        "and xi is Killing exactly when N3 = 0",
-        verdict, residual, tol,
-        {"weak_almost_cosymplectic": hyp, "killing": killing, "n3": n3},
-        {"implications": parts})
-
-
-def _check_c2(ses: Session, tol: float) -> CheckResult:
-    hyp = ses.flag_residuals["weak_almost_cosymplectic"]
-    res = ses.sup_pointwise(lambda j: j.nabla_xi_xi)
-    parts = [_implication("xi_geodesic", hyp, res, tol)]
-    verdict, residual = _verdict_from(parts, hyp <= tol)
-    return CheckResult(
-        "C2",
-        "closed forms: the integral curves of xi are geodesics",
-        verdict, residual, tol, {"weak_almost_cosymplectic": hyp},
-        {"implications": parts})
-
-
-def _check_c3(ses: Session, tol: float) -> CheckResult:
-    hyp = ses.flag_residuals["weak_cosymplectic"]
-    nabla = ses.sup_contracted(st.cosymplectic_nabla_phi_residual, 3)
-    dphi = ses.sup_contracted(st.cosymplectic_dphi_residual, 3)
-    torsion = ses.sup_contracted(st.cosymplectic_torsion_residual, 3)
-    parts = [
-        _implication("nabla_phi_is_half_n5", hyp, nabla, tol),
-        _implication("d_phi_cyclic_n5", hyp, dphi, tol),
-        _implication("torsion_cyclic_n5", hyp, torsion, tol),
-    ]
-    verdict, residual = _verdict_from(parts, hyp <= tol)
-    return CheckResult(
-        "C3",
-        "cosymplectic identities for nabla phi, d(Phi), and the Nijenhuis "
-        "torsion in terms of N5",
-        verdict, residual, tol, {"weak_cosymplectic": hyp},
-        {"implications": parts})
-
-
-def _check_c4(ses: Session, tol: float) -> CheckResult:
-    hyp = ses.flag_residuals["phi_parallel"]
-    d_eta = ses.sup_pointwise(lambda j: j.dEta)
-    d_phi_form = ses.sup_pointwise(lambda j: j.dPhi)
-    n1 = ses.flag_residuals["normal"]
-    n5 = ses.sup_pointwise(lambda j: j.N5)
-    parts = [
-        _implication("d_eta_closed", hyp, d_eta, tol),
-        _implication("d_phi_closed", hyp, d_phi_form, tol),
-        _implication("normal", hyp, n1, tol),
-        _implication("n5_vanishes", hyp, n5, tol),
-    ]
-    verdict, residual = _verdict_from(parts, hyp <= tol)
-    return CheckResult(
-        "C4",
-        "parallel phi forces the weak cosymplectic class and kills N5",
-        verdict, residual, tol, {"phi_parallel": hyp},
-        {"implications": parts})
-
-
-REGISTRY = (
-    ("T1", _check_t1),
-    ("P1", _check_p1),
-    ("T2", _check_t2),
-    ("L1", _check_l1),
-    ("L2", _check_l2),
-    ("P2", _check_p2),
-    ("S1", _check_s1),
-    ("S2", _check_s2),
-    ("C1", _check_c1),
-    ("C2", _check_c2),
-    ("C3", _check_c3),
-    ("C4", _check_c4),
+_KILLING_IFF_N3 = (
+    Implication("killing_implies_n3", "n3", ("killing",)),
+    Implication("n3_implies_killing", "killing", ("n3",)),
 )
+
+CHECKS = (
+    Check("T1", "normality (N1 = 0) forces N3 = 0 and N4 = 0 and reduces N2 to its "
+                "Qtilde-commutator form",
+          ("normal",),
+          (Implication("n3_vanishes", "n3"),
+           Implication("n4_vanishes", "n4"),
+           Implication("n2_reduction", "n2_reduction")),
+          details=("n2_reduction_antisymmetrized", "n2_reduction_nu_weighted")),
+    Check("P1", "contact metric or normal case: xi-curves are geodesics and the "
+                "xi-contraction of d(eta) vanishes",
+          ("weak_contact_metric", "normal"),
+          (Implication("xi_geodesic", "nabla_xi_xi"),
+           Implication("iota_xi_d_eta", "iota_xi_d_eta"),
+           Implication("lie_xi_eta", "lie_xi_eta")),
+          either=True),
+    Check("T2", "contact metric case: N2 = N4 = 0; xi is Killing exactly when N3 = 0; "
+                "d(eta) is invariant along xi",
+          ("weak_contact_metric", "killing", "n3"),
+          (Implication("n2_vanishes", "n2"),
+           Implication("n4_vanishes", "n4"),
+           Implication("d_eta_xi_invariant", "lie_xi_d_eta"),
+           *_KILLING_IFF_N3)),
+    Check("L1", "the covariant derivative of phi matches its six-term expansion, and "
+                "its contact metric reduction including the xi-direction form",
+          ("weak_contact_metric",),
+          (Implication("master_identity", "master_identity", kind=ALWAYS),
+           Implication("contact_reduction", "contact_reduction", kind=IDENTITY),
+           Implication("xi_direction", "xi_direction", kind=IDENTITY))),
+    Check("L2", "h-tensor relations: adjoint defect, anticommutator defect, h xi = 0, "
+                "and the Q-weighted derivative of xi",
+          ("weak_contact_metric",),
+          (Implication("h_adjoint_defect", "h_adjoint_defect"),
+           Implication("h_anticommutator_defect", "h_anticommutator_defect"),
+           Implication("q_weighted_nabla_xi", "q_weighted_nabla_xi"),
+           Implication("h_xi_zero", "h_xi"))),
+    Check("P2", "N5 pairing identity linking (h* - h) phi and 2 phi h",
+          ("weak_contact_metric",),
+          (Implication("n5_pairing", "n5_pairing"),)),
+    Check("S1", "Sasakian-type closed form of the covariant derivative of phi",
+          ("weak_Sasakian",),
+          (Implication("nabla_phi_closed_form", "sasakian_nabla_phi"),)),
+    Check("S2", "rigidity: on a weak Sasakian structure Q restricted to the contact "
+                "distribution is nu times the identity",
+          ("weak_Sasakian",),
+          (Implication("q_is_nu_on_D", "q_is_nu_on_D"),),
+          with_nu=True),
+    Check("C1", "closed forms: N2 = N4 = 0, N1 reduces to the Nijenhuis torsion, "
+                "and xi is Killing exactly when N3 = 0",
+          ("weak_almost_cosymplectic", "killing", "n3"),
+          (Implication("n2_vanishes", "n2"),
+           Implication("n4_vanishes", "n4"),
+           Implication("n1_is_torsion", "n1_torsion"),
+           *_KILLING_IFF_N3)),
+    Check("C2", "closed forms: the integral curves of xi are geodesics",
+          ("weak_almost_cosymplectic",),
+          (Implication("xi_geodesic", "nabla_xi_xi"),)),
+    Check("C3", "cosymplectic identities for nabla phi, d(Phi), and the Nijenhuis "
+                "torsion in terms of N5",
+          ("weak_cosymplectic",),
+          (Implication("nabla_phi_is_half_n5", "cosymplectic_nabla_phi"),
+           Implication("d_phi_cyclic_n5", "cosymplectic_d_phi"),
+           Implication("torsion_cyclic_n5", "cosymplectic_torsion"))),
+    Check("C4", "parallel phi forces the weak cosymplectic class and kills N5",
+          ("phi_parallel",),
+          (Implication("d_eta_closed", "d_eta"),
+           Implication("d_phi_closed", "d_phi"),
+           Implication("normal", "n1"),
+           Implication("n5_vanishes", "n5"))),
+)
+
+REGISTRY = tuple((check.id, check.run) for check in CHECKS)
 
 CHECK_IDS = tuple(check_id for check_id, _ in REGISTRY)
 

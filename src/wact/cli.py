@@ -96,11 +96,14 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.ok else EXIT_MATH
 
 
+def _validated(args):
+    """Validation report of the structure file; raises on a violated axiom."""
+    return validate(_load(args.file), _plan(args), args.tol).raise_for_violations()
+
+
 def _validated_session(args):
-    s = _load(args.file)
-    plan = _plan(args)
-    report = validate(s, plan, args.tol).raise_for_violations()
-    return report.structure, Session(report.structure, plan, args.tol,
+    report = _validated(args)
+    return report.structure, Session(report.structure, report.plan, args.tol,
                                      jets=report.jets)
 
 
@@ -147,24 +150,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_deform(args) -> int:
-    s = _load(args.file)
-    plan = _plan(args)
-    report = validate(s, plan, args.tol)
-    report.raise_for_violations()
+    report = _validated(args)
     params = DeformParams(args.lam, args.lam_prime)
     direction = "inverse" if args.inverse else "forward"
-    out = deform(report.structure, params, direction, plan, args.tol)
+    out = deform(report.structure, params, direction, report.plan, args.tol)
     save_structure(out, args.output)
     print(f"wrote {args.output} (nu = {out.nu:g})")
     return EXIT_OK
 
 
 def cmd_extract_sasakian(args) -> int:
-    s = _load(args.file)
-    plan = _plan(args)
-    report = validate(s, plan, args.tol)
-    report.raise_for_violations()
-    out = extract_sasakian(report.structure, plan, args.tol)
+    report = _validated(args)
+    out = extract_sasakian(report.structure, report.plan, args.tol)
     save_structure(out, args.output)
     print(f"wrote {args.output} (nu = {out.nu:g})")
     return EXIT_OK
@@ -182,17 +179,15 @@ def cmd_product(args) -> int:
 
 
 def cmd_cvf(args) -> int:
-    s = _load(args.file)
-    plan = _plan(args)
-    report = validate(s, plan, args.tol)
-    report.raise_for_violations()
+    report = _validated(args)
+    s = report.structure
     components = [part.strip() for part in args.field.split(";")]
     if len(components) != s.chart.dim:
         raise FileFormatError(
             f"--field needs {s.chart.dim} semicolon-separated components, "
             f"got {len(components)}")
     X = TensorField.from_sources((1, 0), components, s.chart)
-    result = contact_vector_field(report.structure, X, plan, args.tol)
+    result = contact_vector_field(s, X, report.plan, args.tol)
     print(f"structure: {s.name}")
     print(f"f = eta(X) = {result.f_source}")
     print(f"characterization residual: {result.residual:.3e} "

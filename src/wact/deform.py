@@ -165,12 +165,11 @@ def extract_sasakian(s: Structure, plan: SamplePlan = DEFAULT_PLAN,
     normal = ses.flag_residuals["normal"]
     if normal > tol:
         raise NotWeakSasakianError("N1 vanishes (normality)", normal)
-    nu = s.nu
-    q_res = ses.sup_pointwise(lambda j: (j.Q @ j.projector) - nu * j.projector)
+    q_res = ses.residual("q_is_nu_on_D")
     if q_res > tol:
         raise NotWeakSasakianError("Q restricted to D is nu * id", q_res)
 
-    report = _forward(s, nu, nu, f"{s.name}_sasakian", plan, tol)
+    report = _forward(s, s.nu, s.nu, f"{s.name}_sasakian", plan, tol)
     out = report.structure
 
     out_ses = Session(out, plan, tol, jets=report.jets)

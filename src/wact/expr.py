@@ -471,16 +471,6 @@ def from_node(node, coords) -> ScalarExpr:
     return ScalarExpr(node, coords)
 
 
-def evaluate(e: ScalarExpr, point) -> float:
-    """Module-level alias for ScalarExpr.evaluate."""
-    return e.evaluate(point)
-
-
-def eval_dual(e: ScalarExpr, point) -> dm.Dual:
-    """Module-level alias for ScalarExpr.eval_dual."""
-    return e.eval_dual(point)
-
-
 # --------------------------------------------------------------------------
 # AST constructors with constant folding (used by the constructive procedures)
 # --------------------------------------------------------------------------

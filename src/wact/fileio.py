@@ -21,6 +21,7 @@ canonical printer, so save(load(file)) is the identity up to reprinting.
 from __future__ import annotations
 
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -178,9 +179,23 @@ def save_structure(s: Structure, path):
     Path(path).write_text(dump_json(structure_to_dict(s)))
 
 
+def _finite_json(obj):
+    """Copy of `obj` with each non-finite float spelled "inf", "-inf" or "nan"."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(float(obj))
+    if isinstance(obj, dict):
+        return {key: _finite_json(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_json(value) for value in obj]
+    return obj
+
+
 def dump_json(obj) -> str:
-    """Stable rendering used for every report and structure file."""
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    """Stable, strict JSON used for every report and structure file.
+
+    A non-finite residual is written as the string the text table prints.
+    """
+    return json.dumps(_finite_json(obj), indent=2, allow_nan=False) + "\n"
 
 
 # --------------------------------------------------------------------------

@@ -250,15 +250,3 @@ def _float_source(v: float) -> str:
         return str(int(v))
     return repr(float(v))
 
-
-def evaluate(field: TensorField, point) -> TensorValue:
-    """Module-level alias for TensorField.evaluate."""
-    return field.evaluate(point)
-
-
-def metric_cholesky(g_value: np.ndarray) -> np.ndarray:
-    """Cholesky factor of a metric value; SingularMetricError on failure."""
-    try:
-        return np.linalg.cholesky(0.5 * (g_value + g_value.T))
-    except np.linalg.LinAlgError as err:
-        raise SingularMetricError("metric is not positive definite at a sample point") from err

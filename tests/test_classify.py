@@ -221,3 +221,22 @@ def test_check_report_json_roundtrip(sasakian_r3):
     assert payload["schema"] == 1
     text = json.dumps(payload)
     assert json.loads(text) == payload
+
+
+def test_each_residual_is_reduced_once_per_session(sasakian_r5, monkeypatch):
+    # 22 distinct componentwise and 14 distinct contracted residuals feed
+    # the flags and the checks; a shared one (N2, N3, N4, d(eta), d(Phi),
+    # nabla_xi xi, ...) is reduced the first time it is needed only
+    calls = {"sup_pointwise": 0, "sup_contracted": 0}
+    for name in calls:
+        reducer = getattr(Session, name)
+
+        def counted(self, *args, _name=name, _reducer=reducer):
+            calls[_name] += 1
+            return _reducer(self, *args)
+        monkeypatch.setattr(Session, name, counted)
+    ses = Session(sasakian_r5, FAST_PLAN, TOL)
+    verify(sasakian_r5, "all", FAST_PLAN, TOL, session=ses)
+    classify(sasakian_r5, FAST_PLAN, TOL, session=ses)
+    assert calls["sup_pointwise"] <= 22
+    assert calls["sup_contracted"] <= 14

@@ -6,8 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from wact.cli import main
-from wact.fileio import bundled_path
+from wact.fileio import bundled_path, load_bundled, structure_to_dict
 
 
 R3 = str(bundled_path("sasakian_r3"))
@@ -212,14 +214,24 @@ def test_check_json_report(tmp_path, capsys):
     assert payload["nu"] == 1.0
 
 
-def test_threads_env_does_not_change_results(tmp_path, capsys, monkeypatch):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    monkeypatch.setenv("WACT_THREADS", "1")
-    assert run("verify", PRODUCT, "--points", "40", "--json", str(a)) == 0
-    monkeypatch.setenv("WACT_THREADS", "4")
-    assert run("verify", PRODUCT, "--points", "40", "--json", str(b)) == 0
-    capsys.readouterr()
-    assert a.read_bytes() == b.read_bytes()
+def test_non_finite_residuals_reach_a_strict_json_report(tmp_path, capsys):
+    s = load_bundled("sasakian_r3")
+    data = structure_to_dict(s)
+    data["phi"] = [[f"1e200*({src})" for src in row] for row in s.phi.sources()]
+    path, out = tmp_path / "huge_phi.json", tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    with np.errstate(all="ignore"):
+        code = run("check", str(path), *FAST, "--json", str(out))
+    assert code == 2
+    assert "INVALID" in capsys.readouterr().out
+
+    def refuse(token):
+        raise AssertionError(f"non-strict JSON constant {token}")
+    payload = json.loads(out.read_text(), parse_constant=refuse)
+    rows = {r["id"]: r for r in payload["axioms"]}
+    assert rows["phi_square"]["value"] == "inf"
+    assert rows["compatibility"]["value"] == "nan"
+    assert rows["phi_square"]["verdict"] == rows["compatibility"]["verdict"] == "fail"
 
 
 def test_openblas_threads_do_not_change_report_bytes(tmp_path):

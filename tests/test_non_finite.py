@@ -71,7 +71,7 @@ def test_contracted_reducer_keeps_nan(session, monkeypatch, block_points):
 def test_nan_conclusion_fails_the_check():
     parts = [_implication("finite", 0.0, 0.0, TOL),
              _implication("not_a_number", 0.0, math.nan, TOL)]
-    verdict, residual = _verdict_from(parts, True)
+    verdict, residual = _verdict_from(parts)
     assert verdict == "fail"
     assert math.isnan(residual)
 
