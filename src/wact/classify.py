@@ -72,11 +72,10 @@ RESIDUALS = {
     "lie_xi_d_eta": (lambda j: j.lie_xi_dEta, 0),
     "h_xi": (lambda j: st.matvec(j.h, j.xi), 0),
     "q_is_nu_on_D": (lambda j: (j.Q @ j.projector) - j.nu * j.projector, 0),
-    "n2_reduction": (st.n2_reduction_residual, 2),
+    "n2_reduction": (lambda j: j.n2_reduction, 2),
     # the stated reduction is not antisymmetric for nu != 1: its symmetric
     # part, and the nu-weighted variant that is, are reported beside it
-    "n2_reduction_antisymmetrized":
-        (lambda j: _antisymmetric_part(st.n2_reduction_residual(j)), 2),
+    "n2_reduction_antisymmetrized": (lambda j: _antisymmetric_part(j.n2_reduction), 2),
     "n2_reduction_nu_weighted": (st.n2_reduction_residual_nu_weighted, 2),
     "master_identity": (st.master_identity_residual, 3),
     "contact_reduction": (st.contact_identity_residual, 3),
@@ -148,7 +147,7 @@ class Session:
         def per_block(item):
             jet, vec = item
             args = [vec[:, :, k] for k in range(slots)]
-            return np.max(np.abs(np.einsum(_CONTRACTIONS[slots], fn(jet), *args)))
+            return np.max(np.abs(st.einsum(_CONTRACTIONS[slots], fn(jet), *args)))
 
         ends = np.cumsum([len(j.point) for j in self.jets])[:-1]
         blocks = zip(self.jets, np.split(self.vectors, ends))

@@ -160,8 +160,8 @@ def cmd_deform(args) -> int:
 
 
 def cmd_extract_sasakian(args) -> int:
-    report = _validated(args)
-    out = extract_sasakian(report.structure, report.plan, args.tol)
+    s, ses = _validated_session(args)
+    out = extract_sasakian(s, ses.plan, args.tol, session=ses)
     save_structure(out, args.output)
     print(f"wrote {args.output} (nu = {out.nu:g})")
     return EXIT_OK
@@ -179,15 +179,14 @@ def cmd_product(args) -> int:
 
 
 def cmd_cvf(args) -> int:
-    report = _validated(args)
-    s = report.structure
+    s, ses = _validated_session(args)
     components = [part.strip() for part in args.field.split(";")]
     if len(components) != s.chart.dim:
         raise FileFormatError(
             f"--field needs {s.chart.dim} semicolon-separated components, "
             f"got {len(components)}")
     X = TensorField.from_sources((1, 0), components, s.chart)
-    result = contact_vector_field(s, X, report.plan, args.tol)
+    result = contact_vector_field(s, X, ses.plan, args.tol, session=ses)
     print(f"structure: {s.name}")
     print(f"f = eta(X) = {result.f_source}")
     print(f"characterization residual: {result.residual:.3e} "

@@ -149,16 +149,18 @@ def deform(s: Structure, params: DeformParams, direction: str = "forward",
 
 
 def extract_sasakian(s: Structure, plan: SamplePlan = DEFAULT_PLAN,
-                     tol: float = DEFAULT_TOL) -> Structure:
+                     tol: float = DEFAULT_TOL,
+                     session: Session | None = None) -> Structure:
     """Recover the classical Sasakian structure from a weak Sasakian one.
 
     Requires the weak Sasakian flags and the internal test Q|_D = nu * id
     (the test is run, not assumed); the output must classify as classical
-    Sasakian or an engine-level inconsistency is raised.
+    Sasakian or an engine-level inconsistency is raised.  A `session` over
+    the same plan saves building the block jets again.
     """
     if s.nu is None:
         raise ValueError("structure must be validated before extraction")
-    ses = Session(s, plan, tol)
+    ses = session or Session(s, plan, tol)
     contact = ses.flag_residuals["weak_contact_metric"]
     if contact > tol:
         raise NotWeakSasakianError("fundamental 2-form equals d(eta)", contact)
@@ -300,18 +302,20 @@ class CvfResult:
 
 def contact_vector_field(s: Structure, X: TensorField,
                          plan: SamplePlan = DEFAULT_PLAN,
-                         tol: float = DEFAULT_TOL) -> CvfResult:
+                         tol: float = DEFAULT_TOL,
+                         session: Session | None = None) -> CvfResult:
     """Test whether X generates a (strict) weak contact transformation.
 
     Evaluates the characterization Q X = -(1/2) phi grad(f) + nu f xi with
     f = eta(X), reports sigma = xi(f), and cross-checks Lie_X(eta) = sigma eta
-    when the characterization holds.
+    when the characterization holds.  A `session` over the same plan, such as
+    one holding validation's block jets, saves building the jets again.
     """
     if s.nu is None:
         raise ValueError("structure must be validated before the field test")
     if tuple(X.valence) != (1, 0):
         raise ValueError("X must be a vector field")
-    ses = Session(s, plan, tol)
+    ses = session or Session(s, plan, tol)
     contact = ses.flag_residuals["weak_contact_metric"]
     if contact > tol:
         raise NotContactMetricError(

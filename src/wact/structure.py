@@ -13,13 +13,19 @@ first (a `StructureJet`), feed closed-form assemblies of every derived object:
 Index conventions: component arrays are [upper..., lower...]; partial
 derivatives append the differentiation axis last (d_phi[i, j, k] is the
 k-partial of phi^i_j).
+
+A contraction of three or more arrays goes through `einsum`, which contracts
+pairwise along a path planned once per subscripts and operand shapes.  The
+validation rows (and nu) keep numpy's single-loop order, so validation
+reports do not depend on the path; the identity residuals may move in the
+last bit or two against that order, and verdicts do not.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -113,6 +119,7 @@ class StructureJet:
     @cached_property
     def nu_at_point(self):
         """g(Q xi, xi) / g(xi, xi) at each point."""
+        # single-loop np.einsum, like the validation rows: every report carries nu
         num = np.einsum("...i,...ij,...j->...", self.Qxi, self.g, self.xi)
         den = np.einsum("...i,...ij,...j->...", self.xi, self.g, self.xi)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -256,11 +263,34 @@ class StructureJet:
               + np.einsum("...an,...nbk->...abk", H, self.d_Q))
         t1 = np.einsum("...kc,...abk->...abc", self.phi, ds)
         t2 = -np.einsum("...kb,...ack->...abc", self.phi, ds)
-        t3 = np.einsum("...mca,...mn,...nb->...abc", self.d_phi, H, Qt)
-        t4 = -np.einsum("...mba,...mn,...nc->...abc", self.d_phi, H, Qt)
+        t3 = einsum("...mca,...mn,...nb->...abc", self.d_phi, H, Qt)
+        t4 = -einsum("...mba,...mn,...nc->...abc", self.d_phi, H, Qt)
         w5 = np.einsum("...mcb->...mbc", self.d_phi) - self.d_phi
-        t5 = np.einsum("...mbc,...mn,...na->...abc", w5, H, Qt)
+        t5 = einsum("...mbc,...mn,...na->...abc", w5, H, Qt)
         return t1 + t2 + t3 + t4 + t5
+
+    # -- terms shared by the identity residuals ----------------------------------
+
+    @cached_property
+    def g_nabla_phi(self):
+        """g((nabla_X phi) Y, Z), index order [X, Y, Z]."""
+        return np.einsum("...mba,...mc->...abc", self.nabla_phi, self.g)
+
+    @cached_property
+    def contact_terms(self):
+        """g(N1(Y, Z), phi X) + 2 dEta(phi Y, X) eta(Z) - 2 dEta(phi Z, X) eta(Y).
+
+        The terms of the six-term expansion that survive, besides N5, on a
+        weak contact metric structure; index order [X, Y, Z].
+        """
+        return (einsum("...mbc,...mn,...na->...abc", self.N1, self.g, self.phi)
+                + 2.0 * einsum("...mb,...ma,...c->...abc", self.phi, self.dEta, self.eta)
+                - 2.0 * einsum("...mc,...ma,...b->...abc", self.phi, self.dEta, self.eta))
+
+    @cached_property
+    def n2_reduction(self):
+        """T1's stated N2 reduction residual; its symmetric part is reported too."""
+        return n2_reduction_residual(self)
 
     # -- the h tensor and friends -------------------------------------------------
 
@@ -271,7 +301,7 @@ class StructureJet:
     @cached_property
     def h_star(self):
         """Metric adjoint (h*)^i_j = g^{ia} h^m_a g_{mj}."""
-        return np.einsum("...ia,...ma,...mj->...ij", self.g_inv, self.h, self.g)
+        return einsum("...ia,...ma,...mj->...ij", self.g_inv, self.h, self.g)
 
     @cached_property
     def A_op(self):
@@ -310,6 +340,26 @@ def block_jets(s: Structure, points: np.ndarray) -> list:
 # --------------------------------------------------------------------------
 # Pointwise array helpers and the residual reducer
 # --------------------------------------------------------------------------
+
+def einsum(subscripts: str, *operands):
+    """`np.einsum`, along a contraction path planned once when 3 or more operands meet.
+
+    The greedy path (Smith & Gray, "opt_einsum", JOSS 2018) contracts pairs
+    and keeps every intermediate no larger than the largest operand or the
+    result, where a plain `np.einsum` runs one loop nest over every index at
+    once.  The path is cached by subscripts and operand shapes.
+    """
+    if len(operands) < 3:
+        return np.einsum(subscripts, *operands)
+    path = _contraction_path(subscripts, tuple(np.shape(op) for op in operands))
+    return np.einsum(subscripts, *operands, optimize=path)
+
+
+@lru_cache(maxsize=1024)
+def _contraction_path(subscripts: str, shapes: tuple) -> list:
+    operands = [np.broadcast_to(0.0, shape) for shape in shapes]
+    return np.einsum_path(subscripts, *operands, optimize="greedy")[0]
+
 
 def transpose(a):
     """Swap the last two axes (the matrix transpose at every point)."""
@@ -386,6 +436,7 @@ def _res_phi_invariant(j: StructureJet):
 
 
 def _res_compatibility(j: StructureJet):
+    # single-loop np.einsum: validation reports stay independent of the path
     lhs = np.einsum("...ai,...bj,...ab->...ij", j.phi, j.phi, j.g)
     rhs = (np.einsum("...ia,...aj->...ij", j.g, j.Q)
            - np.einsum("...i,...a,...aj->...ij", j.eta, j.eta, j.Q))
@@ -666,14 +717,10 @@ def master_identity_terms(j: StructureJet):
 
     Index order is [X, Y, Z].
     """
-    lhs = 2.0 * np.einsum("...mba,...mc->...abc", j.nabla_phi, j.g)
-    r1 = 3.0 * np.einsum("...amn,...mb,...nc->...abc", j.dPhi, j.phi, j.phi)
+    r1 = 3.0 * einsum("...amn,...mb,...nc->...abc", j.dPhi, j.phi, j.phi)
     r2 = -3.0 * j.dPhi
-    r3 = np.einsum("...mbc,...mn,...na->...abc", j.N1, j.g, j.phi)
     r4 = np.einsum("...bc,...a->...abc", j.N2, j.eta)
-    r5 = 2.0 * np.einsum("...mb,...ma,...c->...abc", j.phi, j.dEta, j.eta)
-    r6 = -2.0 * np.einsum("...mc,...ma,...b->...abc", j.phi, j.dEta, j.eta)
-    return lhs, r1 + r2 + r3 + r4 + r5 + r6 + j.N5
+    return 2.0 * j.g_nabla_phi, r1 + r2 + r4 + j.contact_terms + j.N5
 
 
 def master_identity_residual(j: StructureJet) -> np.ndarray:
@@ -683,16 +730,12 @@ def master_identity_residual(j: StructureJet) -> np.ndarray:
 
 def contact_identity_residual(j: StructureJet) -> np.ndarray:
     """Reduction of the master identity for weak contact metric structures."""
-    lhs = 2.0 * np.einsum("...mba,...mc->...abc", j.nabla_phi, j.g)
-    r3 = np.einsum("...mbc,...mn,...na->...abc", j.N1, j.g, j.phi)
-    r5 = 2.0 * np.einsum("...mb,...ma,...c->...abc", j.phi, j.dEta, j.eta)
-    r6 = -2.0 * np.einsum("...mc,...ma,...b->...abc", j.phi, j.dEta, j.eta)
-    return lhs - (r3 + r5 + r6 + j.N5)
+    return 2.0 * j.g_nabla_phi - (j.contact_terms + j.N5)
 
 
 def xi_direction_identity_residual(j: StructureJet) -> np.ndarray:
     """2 g((nabla_xi phi) Y, Z) - N5(xi, Y, Z), as a (dim, dim) array."""
-    lhs = 2.0 * np.einsum("...mba,...mc,...a->...bc", j.nabla_phi, j.g, j.xi)
+    lhs = 2.0 * einsum("...mba,...mc,...a->...bc", j.nabla_phi, j.g, j.xi)
     rhs = np.einsum("...abc,...a->...bc", j.N5, j.xi)
     return lhs - rhs
 
@@ -717,7 +760,7 @@ def n2_reduction_residual(j: StructureJet) -> np.ndarray:
     bracket = (np.einsum("...ka,...ibk->...iab", U, j.d_phi)
                - np.einsum("...kb,...iak->...iab", j.phi, dU))
     f1 = np.einsum("...i,...iab->...ab", j.eta, bracket)
-    ctil = np.einsum("...i,...ij,...j->...", Qtxi, j.g, j.xi)[..., None, None]
+    ctil = einsum("...i,...ij,...j->...", Qtxi, j.g, j.xi)[..., None, None]
     f2 = -ctil * np.einsum("...m,...mab->...ab", j.eta, j.d_phi)
     return j.N2 - f1 - f2
 
@@ -744,8 +787,8 @@ def h_adjoint_identity_residual(j: StructureJet) -> np.ndarray:
     lhs = np.einsum("...ma,...mb->...ab", j.h - j.h_star, j.g)
     K = (np.einsum("...k,...mbk->...mb", j.xi, j.d_phi)
          - np.einsum("...kb,...mk->...mb", j.phi, j.d_xi))
-    rhs = (np.einsum("...mb,...mn,...na->...ab", K, H, j.Qtilde)
-           - np.einsum("...ma,...mn,...nb->...ab", K, H, j.Qtilde))
+    rhs = (einsum("...mb,...mn,...na->...ab", K, H, j.Qtilde)
+           - einsum("...ma,...mn,...nb->...ab", K, H, j.Qtilde))
     return lhs - rhs
 
 
@@ -759,17 +802,17 @@ def h_anticommutator_identity_residual(j: StructureJet) -> np.ndarray:
 
 def q_nabla_xi_identity_residual(j: StructureJet) -> np.ndarray:
     """g(Q nabla_X xi, Z) minus g((phi + h phi) Z, Q X) + (1/2) N5(X, xi, phi Z)."""
-    lhs = np.einsum("...mk,...ka,...mb->...ab", j.Q, j.nabla_xi, j.g)
+    lhs = einsum("...mk,...ka,...mb->...ab", j.Q, j.nabla_xi, j.g)
     op = j.phi + j.h @ j.phi
-    rhs = (np.einsum("...mb,...na,...mn->...ab", op, j.Q, j.g)
-           - 0.5 * np.einsum("...akm,...k,...mb->...ab", j.N5, j.xi, j.phi))
+    rhs = (einsum("...mb,...na,...mn->...ab", op, j.Q, j.g)
+           - 0.5 * einsum("...akm,...k,...mb->...ab", j.N5, j.xi, j.phi))
     return lhs - rhs
 
 
 def b_phi_identity_residual(j: StructureJet) -> np.ndarray:
     """N5(phi^2 Y, xi, X) - N5(phi X, xi, phi Y) - 2 g(((h*-h)phi + 2 phi h) X, Y)."""
-    t1 = np.einsum("...abj,...ak,...b->...jk", j.N5, j.phi2, j.xi)
-    t2 = -np.einsum("...abc,...aj,...b,...ck->...jk", j.N5, j.phi, j.xi, j.phi)
+    t1 = einsum("...abj,...ak,...b->...jk", j.N5, j.phi2, j.xi)
+    t2 = -einsum("...abc,...aj,...b,...ck->...jk", j.N5, j.phi, j.xi, j.phi)
     op = j.B_op @ j.phi + 2.0 * (j.phi @ j.h)
     rhs = 2.0 * np.einsum("...mj,...mk->...jk", op, j.g)
     return t1 + t2 - rhs
@@ -777,7 +820,7 @@ def b_phi_identity_residual(j: StructureJet) -> np.ndarray:
 
 def sasakian_nabla_phi_residual(j: StructureJet) -> np.ndarray:
     """g((nabla_X phi) Y, Z) minus the Sasakian-type closed form."""
-    lhs = np.einsum("...mba,...mc->...abc", j.nabla_phi, j.g)
+    lhs = j.g_nabla_phi
     QG = np.einsum("...ma,...mb->...ab", j.Q, j.g)
     rhs = (np.einsum("...ab,...c->...abc", QG, j.eta)
            - np.einsum("...ac,...b->...abc", QG, j.eta)
@@ -787,7 +830,7 @@ def sasakian_nabla_phi_residual(j: StructureJet) -> np.ndarray:
 
 def cosymplectic_nabla_phi_residual(j: StructureJet) -> np.ndarray:
     """2 g((nabla_X phi) Y, Z) - N5(X, Y, Z)."""
-    return 2.0 * np.einsum("...mba,...mc->...abc", j.nabla_phi, j.g) - j.N5
+    return 2.0 * j.g_nabla_phi - j.N5
 
 
 def cosymplectic_dphi_residual(j: StructureJet) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Classification flags and the check registry."""
 
 import dataclasses
+import sys
 
 import pytest
 
 from conftest import FAST_PLAN, PLAN, TOL
+from wact import structure as st
 from wact.chart import SamplePlan
 from wact.classify import CHECK_IDS, Session, classify, verify
 from wact.errors import UnknownCheckIdError
@@ -240,3 +242,24 @@ def test_each_residual_is_reduced_once_per_session(sasakian_r5, monkeypatch):
     classify(sasakian_r5, FAST_PLAN, TOL, session=ses)
     assert calls["sup_pointwise"] <= 22
     assert calls["sup_contracted"] <= 14
+
+
+def test_t1_builds_the_n2_reduction_once_per_block(sasakian_r5, monkeypatch):
+    # T1 reduces the stated N2 reduction and its antisymmetric part; both
+    # read the array cached on the block jet.  Calls are counted by code
+    # object, so a reference to the function held anywhere is seen.
+    monkeypatch.setattr(st, "BLOCK_POINTS", 10)
+    code = st.n2_reduction_residual.__code__
+    builds = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            builds.append(len(frame.f_locals["j"].point))
+    ses = Session(sasakian_r5, FAST_PLAN, TOL)
+    sys.setprofile(profile)
+    try:
+        result = verify(sasakian_r5, "T1", FAST_PLAN, TOL, session=ses).result("T1")
+    finally:
+        sys.setprofile(None)
+    assert builds == [10, 10, 5]
+    assert "n2_reduction_antisymmetrized" in result.details

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from wact import structure
 from wact.cli import main
 from wact.fileio import bundled_path, load_bundled, structure_to_dict
 
@@ -253,3 +254,20 @@ def test_openblas_threads_do_not_change_report_bytes(tmp_path):
         assert done.returncode == 0, done.stderr.decode()
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_cvf_reuses_the_validation_jets(tmp_path, monkeypatch, capsys):
+    # validation builds one StructureJet per block and the field test reads
+    # the same jets; 25 points in blocks of 10 make 3 blocks
+    monkeypatch.setattr(structure, "BLOCK_POINTS", 10)
+    built = []
+    init = structure.StructureJet.__init__
+
+    def counted(self, s, point, *args, **kwargs):
+        built.append(len(point))
+        init(self, s, point, *args, **kwargs)
+    monkeypatch.setattr(structure.StructureJet, "__init__", counted)
+    out = tmp_path / "cvf.json"
+    assert run("cvf", R3, "--field", "0;2;2*x", *FAST, "--json", str(out)) == 0
+    assert built == [10, 10, 5]
+    assert json.loads(out.read_text())["is_weak_contact"] is True
