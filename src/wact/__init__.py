@@ -22,9 +22,8 @@ from .expr import ScalarExpr, parse
 from .fileio import (bundled_names, bundled_path, load_bundled, load_plane,
                      load_structure, save_structure, structure_from_dict,
                      structure_to_dict)
-from .structure import (DEFAULT_TOL, DerivedTensors, N1, N2, N3, N4, N5,
-                        Structure, StructureJet, ValidationReport,
-                        derived_tensors, h_tensor, validate)
-from .tensor import TensorField, TensorValue, contract, music, project_D
+from .structure import (DEFAULT_TOL, Structure, StructureJet, ValidationReport,
+                        validate)
+from .tensor import TensorField, TensorValue
 
 __version__ = "0.1.0"

@@ -1,4 +1,8 @@
-"""Differential operators on fields over a chart.
+"""Differential operators on fields over a chart, one point at a time.
+
+This is the per-point reference that the tests compare the block engine
+(`structure.StructureJet` and the plane checks of `deform`) against; no
+command of the CLI calls it.
 
 All first derivatives come from dual-number evaluation; derived fields (such
 as an exterior derivative used as the input of another operator) lift their

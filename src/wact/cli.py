@@ -52,10 +52,6 @@ def _plan(args) -> SamplePlan:
     return SamplePlan(count=args.points, seed=args.seed, margin=args.margin)
 
 
-def _load(path: str):
-    return load_structure(path)
-
-
 def _write_json(path: str, payload: dict):
     Path(path).write_text(dump_json(payload))
 
@@ -80,7 +76,7 @@ def _validation_payload(report) -> dict:
 
 
 def cmd_check(args) -> int:
-    s = _load(args.file)
+    s = load_structure(args.file)
     report = validate(s, _plan(args), args.tol)
     rows = [(r.axiom, r.kind, _fmt_res(r.value),
              ("<= " if r.comparison == "<=" else "> ") + f"{r.threshold:.1e}",
@@ -98,7 +94,7 @@ def cmd_check(args) -> int:
 
 def _validated(args):
     """Validation report of the structure file; raises on a violated axiom."""
-    return validate(_load(args.file), _plan(args), args.tol).raise_for_violations()
+    return validate(load_structure(args.file), _plan(args), args.tol).raise_for_violations()
 
 
 def _validated_session(args):

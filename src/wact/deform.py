@@ -18,14 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .calculus import covariant_derivative
 from .chart import Chart, DEFAULT_PLAN, SamplePlan, sample
 from .classify import Session
 from .errors import (EngineInconsistencyError, NotContactMetricError,
                      NotParallelError, NotWeakSasakianError, RankDeficientError,
-                     ValidationFailedError)
-from .structure import (DEFAULT_TOL, RANK_RTOL, Structure, ValidationReport,
-                        matvec, sup_at, validate)
+                     SingularMetricError, ValidationFailedError)
+from .structure import (DEFAULT_TOL, Structure, ValidationReport, blocks,
+                        cholesky_defect, christoffel, matvec, nabla_11,
+                        numeric_rank, sup_at, transpose, validate)
 from .tensor import TensorField
 
 
@@ -191,6 +191,50 @@ def extract_sasakian(s: Structure, plan: SamplePlan = DEFAULT_PLAN,
 # Product construction
 # --------------------------------------------------------------------------
 
+def _check_plane_block(points, phi, d_phi, g, d_g, tol: float):
+    """Raise at the first point of the block that fails a plane test.
+
+    At that point the tests run in order: full rank, then -phitilde^2
+    self-adjoint and positive for the metric, then the metric positive
+    definite, then phitilde parallel.  A NaN fails its test.
+    """
+    def pointwise_max(a):
+        return np.abs(a).reshape(len(a), -1).max(axis=-1)
+
+    two_n = phi.shape[-1]
+    ranks = numeric_rank(phi)
+    s_op = g @ (-(phi @ phi))
+    asym = pointwise_max(s_op - transpose(s_op))
+    bound = tol * (1.0 + pointwise_max(s_op))
+    min_eig = np.linalg.eigvalsh(0.5 * (s_op + transpose(s_op)))[:, 0]
+    metric_ok = cholesky_defect(g) == 0.0
+    # a metric that fails its test is not inverted: one singular matrix
+    # would fail the inverse of the whole block
+    g_inv = np.linalg.inv(np.where(metric_ok[:, None, None], g, np.eye(two_n)))
+    nabla = pointwise_max(nabla_11(phi, d_phi, christoffel(g_inv, d_g)))
+
+    def where(k):
+        return tuple(float(v) for v in points[k])
+
+    tests = (
+        (ranks != two_n, lambda k: RankDeficientError(
+            f"plane tensor has rank {ranks[k]} < {two_n} at {where(k)}")),
+        (~(asym <= bound), lambda k: ValidationFailedError(
+            "-phitilde^2 is not self-adjoint for the plane metric")),
+        (~(min_eig > 0.0), lambda k: ValidationFailedError(
+            "-phitilde^2 is not positive for the plane metric")),
+        (~metric_ok, lambda k: SingularMetricError(
+            "metric is singular at the requested point")),
+        (~(nabla <= tol), lambda k: NotParallelError(
+            f"plane tensor is not parallel: |nabla phitilde| = "
+            f"{nabla[k]:.3e} at {where(k)}")),
+    )
+    failed = np.logical_or.reduce([bad for bad, _ in tests])
+    if failed.any():
+        k = int(np.argmax(failed))
+        raise next(error(k) for bad, error in tests if bad[k])
+
+
 def product_construction(phitilde: TensorField, g_plane: TensorField, nu: float,
                          t_domain=(-1.0, 1.0), name: str = "product",
                          plan: SamplePlan = DEFAULT_PLAN,
@@ -209,27 +253,9 @@ def product_construction(phitilde: TensorField, g_plane: TensorField, nu: float,
     if "t" in plane.coords:
         raise ValidationFailedError("plane chart already uses the coordinate name 't'")
 
-    points = sample(plane, plan)
-    for p in points:
-        pv = phitilde.values(p)
-        sv = np.linalg.svd(pv, compute_uv=False)
-        rank = int(np.sum(sv > RANK_RTOL * sv[0])) if sv[0] > 0.0 else 0
-        if rank != two_n:
-            raise RankDeficientError(
-                f"plane tensor has rank {rank} < {two_n} at {tuple(float(v) for v in p)}")
-        gv = g_plane.values(p)
-        s_op = gv @ (-(pv @ pv))
-        if np.max(np.abs(s_op - s_op.T)) > tol * (1.0 + np.max(np.abs(s_op))):
-            raise ValidationFailedError(
-                "-phitilde^2 is not self-adjoint for the plane metric")
-        if np.min(np.linalg.eigvalsh(0.5 * (s_op + s_op.T))) <= 0.0:
-            raise ValidationFailedError(
-                "-phitilde^2 is not positive for the plane metric")
-        nabla = covariant_derivative(phitilde, g_plane, p)
-        if np.max(np.abs(nabla.data)) > tol:
-            raise NotParallelError(
-                f"plane tensor is not parallel: |nabla phitilde| = "
-                f"{np.max(np.abs(nabla.data)):.3e} at {tuple(float(v) for v in p)}")
+    for block in blocks(sample(plane, plan)):
+        _check_plane_block(block, *phitilde.jet(block, "phitilde"),
+                           *g_plane.jet(block, "metric"), tol)
 
     dim = two_n + 1
     chart = Chart(plane.coords + ("t",), plane.lows + (float(t_domain[0]),),

@@ -37,10 +37,6 @@ class DomainError(WactError):
         self.index = index
 
 
-class SlotMismatchError(WactError):
-    """Contraction slots do not pair one contravariant with one covariant index."""
-
-
 class SingularMetricError(WactError):
     """Metric value is not symmetric positive definite at the requested point."""
 

@@ -32,7 +32,7 @@ import numpy as np
 from .chart import Chart, DEFAULT_PLAN, SamplePlan, sample
 from .errors import AxiomViolationError
 from .runtime import parallel_map
-from .tensor import TensorField, TensorValue
+from .tensor import TensorField
 
 DEFAULT_TOL = 1e-6
 
@@ -72,9 +72,6 @@ class Structure:
     def with_nu(self, nu: float) -> "Structure":
         return dataclasses.replace(self, nu=float(nu))
 
-    def jet(self, point, need_hessian: bool = False) -> "StructureJet":
-        return StructureJet(self, point, need_hessian)
-
 
 class StructureJet:
     """All pointwise data of a structure at one point or a block of points.
@@ -84,7 +81,7 @@ class StructureJet:
     same formula serve both.
     """
 
-    def __init__(self, s: Structure, point, need_hessian: bool = False):
+    def __init__(self, s: Structure, point):
         self.structure = s
         self.point = np.asarray(point, dtype=float)
         self.dim = s.chart.dim
@@ -93,8 +90,6 @@ class StructureJet:
         self.xi, self.d_xi = s.xi.jet(self.point, "xi")
         self.eta, self.d_eta_partials = s.eta.jet(self.point, "eta")
         self.g, self.d_g = s.g.jet(self.point, "metric")
-        if need_hessian:
-            _ = self.eta_hessian
 
     # -- base helpers --------------------------------------------------------
 
@@ -174,16 +169,12 @@ class StructureJet:
     @cached_property
     def gamma(self):
         """Christoffel symbols gamma[k, i, j]."""
-        A = np.einsum("...jli->...ijl", self.d_g)  # A[i,j,l] = d_i g_{jl}
-        B = A + np.einsum("...jil->...ijl", A) - np.einsum("...lij->...ijl", A)
-        return 0.5 * np.einsum("...kl,...ijl->...kij", self.g_inv, B)
+        return christoffel(self.g_inv, self.d_g)
 
     @cached_property
     def nabla_phi(self):
         """nabla_phi[i, j, k] = (nabla_k phi)^i_j."""
-        return (self.d_phi
-                + np.einsum("...ika,...aj->...ijk", self.gamma, self.phi)
-                - np.einsum("...akj,...ia->...ijk", self.gamma, self.phi))
+        return nabla_11(self.phi, self.d_phi, self.gamma)
 
     @cached_property
     def nabla_xi(self):
@@ -331,10 +322,14 @@ class StructureJet:
                 + np.einsum("...ia,...aj->...ij", self.dEta, self.d_xi))
 
 
+def blocks(points: np.ndarray) -> list:
+    """Consecutive blocks of at most BLOCK_POINTS sample points."""
+    return [points[i:i + BLOCK_POINTS] for i in range(0, len(points), BLOCK_POINTS)]
+
+
 def block_jets(s: Structure, points: np.ndarray) -> list:
     """One StructureJet per block of at most BLOCK_POINTS sample points."""
-    blocks = [points[i:i + BLOCK_POINTS] for i in range(0, len(points), BLOCK_POINTS)]
-    return parallel_map(lambda block: StructureJet(s, block), blocks)
+    return parallel_map(lambda block: StructureJet(s, block), blocks(points))
 
 
 # --------------------------------------------------------------------------
@@ -359,6 +354,27 @@ def einsum(subscripts: str, *operands):
 def _contraction_path(subscripts: str, shapes: tuple) -> list:
     operands = [np.broadcast_to(0.0, shape) for shape in shapes]
     return np.einsum_path(subscripts, *operands, optimize="greedy")[0]
+
+
+def christoffel(g_inv, d_g):
+    """Christoffel symbols gamma[k, i, j] of a metric from its inverse and partials."""
+    A = np.einsum("...jli->...ijl", d_g)  # A[i,j,l] = d_i g_{jl}
+    B = A + np.einsum("...jil->...ijl", A) - np.einsum("...lij->...ijl", A)
+    return 0.5 * np.einsum("...kl,...ijl->...kij", g_inv, B)
+
+
+def nabla_11(t, d_t, gamma):
+    """Covariant derivative of a (1,1) tensor: out[i, j, k] = (nabla_k t)^i_j."""
+    return (d_t
+            + np.einsum("...ika,...aj->...ijk", gamma, t)
+            - np.einsum("...akj,...ia->...ijk", gamma, t))
+
+
+def numeric_rank(m):
+    """Numeric rank of each matrix: singular values above RANK_RTOL times the largest."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    rank = np.sum(sv > RANK_RTOL * sv[..., :1], axis=-1)
+    return np.where(sv[..., 0] > 0.0, rank, 0)
 
 
 def transpose(a):
@@ -398,10 +414,11 @@ def _res_metric_symmetric(j: StructureJet):
     return pointwise_sup(j, j.g - transpose(j.g))
 
 
-def _res_metric_positive(j: StructureJet):
+def cholesky_defect(g):
+    """0 where the symmetric part of g is positive definite, > 0 elsewhere."""
     # factorization success is the test; the eigenvalue magnitude is only
     # reported where it fails
-    sym = 0.5 * (j.g + transpose(j.g))
+    sym = 0.5 * (g + transpose(g))
     flat = sym.reshape((-1,) + sym.shape[-2:])
     out = np.zeros(len(flat))
     try:
@@ -473,12 +490,6 @@ def _res_q_selfadjoint(j: StructureJet):
 
 def _res_eta_is_g_xi(j: StructureJet):
     return pointwise_sup(j, j.eta - matvec(j.g, j.xi))
-
-
-def _phi_rank(j: StructureJet):
-    sv = np.linalg.svd(j.phi, compute_uv=False)
-    rank = np.sum(sv > RANK_RTOL * sv[..., :1], axis=-1)
-    return np.where(sv[..., 0] > 0.0, rank, 0)
 
 
 @dataclass(frozen=True)
@@ -557,7 +568,7 @@ class ValidationReport:
 
 _POINTWISE_AXIOMS = [
     ("metric_symmetric", "axiom", _res_metric_symmetric),
-    ("metric_positive_definite", "axiom", _res_metric_positive),
+    ("metric_positive_definite", "axiom", lambda j: cholesky_defect(j.g)),
     ("phi_square", "axiom", _res_phi_square),
     ("eta_xi", "axiom", _res_eta_xi),
     ("phi_invariant_D", "axiom", _res_phi_invariant),
@@ -617,7 +628,7 @@ def validate(s: Structure, plan: SamplePlan = DEFAULT_PLAN,
 
     # Numeric rank of phi must equal 2n.
     target = s.chart.dim - 1
-    ranks = per_point(_phi_rank)
+    ranks = per_point(lambda j: numeric_rank(j.phi))
     deviations = np.abs(ranks - target).astype(float)
     worst = sup_at(deviations)[0]
     rows.append(row("phi_rank_2n", "derived", deviations, 0.0, "<=",
@@ -625,87 +636,6 @@ def validate(s: Structure, plan: SamplePlan = DEFAULT_PLAN,
 
     return ValidationReport(s.name, plan, tol, tuple(rows), float(nu), resolved,
                             tuple(jets))
-
-
-# --------------------------------------------------------------------------
-# Derived-tensor API (pointwise)
-# --------------------------------------------------------------------------
-
-def _vec(x) -> np.ndarray:
-    if isinstance(x, TensorValue):
-        return np.asarray(x.data, dtype=float)
-    return np.asarray(x, dtype=float)
-
-
-def N1(s: Structure, X, Y, point) -> TensorValue:
-    j = s.jet(point)
-    return TensorValue(1, 0, np.einsum("ijk,j,k->i", j.N1, _vec(X), _vec(Y)))
-
-
-def N2(s: Structure, X, Y, point) -> float:
-    j = s.jet(point)
-    return float(np.einsum("jk,j,k->", j.N2, _vec(X), _vec(Y)))
-
-
-def N3(s: Structure, X, point) -> TensorValue:
-    j = s.jet(point)
-    return TensorValue(1, 0, j.N3 @ _vec(X))
-
-
-def N4(s: Structure, X, point) -> float:
-    j = s.jet(point)
-    return float(j.N4 @ _vec(X))
-
-
-def N5(s: Structure, X, Y, Z, point) -> float:
-    j = s.jet(point)
-    return float(np.einsum("abc,a,b,c->", j.N5, _vec(X), _vec(Y), _vec(Z)))
-
-
-def h_tensor(s: Structure, point):
-    """(h, h*, A, B) at a point, as (1,1) tensor values."""
-    j = s.jet(point)
-    return (TensorValue(1, 1, j.h), TensorValue(1, 1, j.h_star),
-            TensorValue(1, 1, j.A_op), TensorValue(1, 1, j.B_op))
-
-
-@dataclass(frozen=True)
-class DerivedTensors:
-    """Pointwise bundle of every derived tensor at one point."""
-
-    Phi: TensorValue
-    Qtilde: TensorValue
-    h: TensorValue
-    h_star: TensorValue
-    A: TensorValue
-    B: TensorValue
-    N1: TensorValue
-    N2: TensorValue
-    N3: TensorValue
-    N4: TensorValue
-    N5: object  # trilinear evaluator (X, Y, Z) -> float
-
-
-def derived_tensors(s: Structure, point) -> DerivedTensors:
-    j = s.jet(point)
-    n5 = j.N5
-
-    def n5_eval(X, Y, Z) -> float:
-        return float(np.einsum("abc,a,b,c->", n5, _vec(X), _vec(Y), _vec(Z)))
-
-    return DerivedTensors(
-        Phi=TensorValue(0, 2, j.Phi),
-        Qtilde=TensorValue(1, 1, j.Qtilde),
-        h=TensorValue(1, 1, j.h),
-        h_star=TensorValue(1, 1, j.h_star),
-        A=TensorValue(1, 1, j.A_op),
-        B=TensorValue(1, 1, j.B_op),
-        N1=TensorValue(1, 2, j.N1),
-        N2=TensorValue(0, 2, j.N2),
-        N3=TensorValue(1, 1, j.N3),
-        N4=TensorValue(0, 1, j.N4),
-        N5=n5_eval,
-    )
 
 
 # --------------------------------------------------------------------------

@@ -11,10 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import BaseChart
-from .errors import DomainError, SingularMetricError, SlotMismatchError
+from .errors import DomainError
 from .expr import ScalarExpr, parse
-
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 @dataclass(frozen=True)
@@ -36,96 +34,6 @@ class TensorValue:
         if not np.all(np.isfinite(arr)):
             raise ValueError("tensor value contains non-finite entries")
         object.__setattr__(self, "data", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[0] if self.data.ndim else 0
-
-    @property
-    def nslots(self) -> int:
-        return self.r + self.s
-
-    def scalar(self) -> float:
-        if self.nslots != 0:
-            raise ValueError("not a scalar tensor")
-        return float(self.data)
-
-    def is_contravariant(self, slot: int) -> bool:
-        if not 0 <= slot < self.nslots:
-            raise SlotMismatchError(f"slot {slot} out of range for valence ({self.r},{self.s})")
-        return slot < self.r
-
-
-def contract(a: TensorValue, slot_a: int, b: TensorValue, slot_b: int) -> TensorValue:
-    """Single contraction pairing a contravariant slot with a covariant one.
-
-    Remaining slots keep their order within each factor; the result is stored
-    canonically (a's then b's contravariant slots, then a's then b's covariant
-    slots).
-    """
-    a_up = a.is_contravariant(slot_a)
-    b_up = b.is_contravariant(slot_b)
-    if a_up == b_up:
-        kind = "contravariant" if a_up else "covariant"
-        raise SlotMismatchError(f"cannot contract two {kind} slots")
-    raw = np.tensordot(a.data, b.data, axes=(slot_a, slot_b))
-    # tensordot output axes: a's remaining slots in order, then b's.
-    tags = []
-    for k in range(a.nslots):
-        if k != slot_a:
-            tags.append(k < a.r)
-    for k in range(b.nslots):
-        if k != slot_b:
-            tags.append(k < b.r)
-    perm = [i for i, up in enumerate(tags) if up] + [i for i, up in enumerate(tags) if not up]
-    data = np.transpose(raw, perm) if perm else raw
-    new_r = a.r + b.r - 1
-    new_s = a.s + b.s - 1
-    return TensorValue(new_r, new_s, data)
-
-
-def _metric_inverse(g: np.ndarray) -> np.ndarray:
-    sym = 0.5 * (g + g.T)
-    if np.max(np.abs(g - g.T)) > 1e-9 * (1.0 + np.max(np.abs(g))):
-        raise SingularMetricError("metric value is not symmetric")
-    try:
-        np.linalg.cholesky(sym)
-    except np.linalg.LinAlgError as err:
-        raise SingularMetricError("metric value is not positive definite") from err
-    return np.linalg.inv(sym)
-
-
-def music(g_at_p: TensorValue, t: TensorValue, slot: int, direction: str) -> TensorValue:
-    """Raise or lower one slot of `t` with the metric value `g_at_p`.
-
-    A raised slot joins the end of the contravariant group; a lowered slot
-    joins the end of the covariant group.
-    """
-    if (g_at_p.r, g_at_p.s) != (0, 2):
-        raise SlotMismatchError("metric argument must have valence (0, 2)")
-    if direction not in ("raise", "lower"):
-        raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")
-    up = t.is_contravariant(slot)
-    if direction == "raise":
-        if up:
-            raise SlotMismatchError("slot is already contravariant")
-        g_inv = _metric_inverse(g_at_p.data)
-        raw = np.tensordot(t.data, g_inv, axes=(slot, 0))
-        data = np.moveaxis(raw, -1, t.r)
-        return TensorValue(t.r + 1, t.s - 1, data)
-    if not up:
-        raise SlotMismatchError("slot is already covariant")
-    _metric_inverse(g_at_p.data)  # SPD sanity check
-    raw = np.tensordot(t.data, g_at_p.data, axes=(slot, 0))
-    return TensorValue(t.r - 1, t.s + 1, raw)
-
-
-def project_D(v: TensorValue, xi_at_p: TensorValue, eta_at_p: TensorValue) -> TensorValue:
-    """Projection X - eta(X) xi of a vector onto the contact distribution."""
-    if (v.r, v.s) != (1, 0) or (xi_at_p.r, xi_at_p.s) != (1, 0) or (eta_at_p.r, eta_at_p.s) != (0, 1):
-        raise SlotMismatchError("project_D expects vector, vector, covector")
-    scale = float(eta_at_p.data @ v.data)
-    return TensorValue(1, 0, v.data - scale * xi_at_p.data)
 
 
 @dataclass(frozen=True)

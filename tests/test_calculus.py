@@ -364,7 +364,7 @@ def test_lie_xi_d_eta_closure_vs_jet(weak_contact_h):
     s = weak_contact_h
     d_eta = d_field(s.eta)
     for p in sample(s.chart, SamplePlan(count=5, seed=6)):
-        j = StructureJet(s, p, need_hessian=True)
+        j = StructureJet(s, p)
         closure = lie_derivative(s.xi, d_eta, p).data
         assert sup(closure - j.lie_xi_dEta) < 1e-11
 

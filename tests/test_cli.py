@@ -8,9 +8,9 @@ from pathlib import Path
 
 import numpy as np
 
-from wact import structure
+from wact import calculus, structure
 from wact.cli import main
-from wact.fileio import bundled_path, load_bundled, structure_to_dict
+from wact.fileio import bundled_names, bundled_path, load_bundled, structure_to_dict
 
 
 R3 = str(bundled_path("sasakian_r3"))
@@ -175,6 +175,65 @@ def test_product_rank_deficient_exits_two(tmp_path, capsys):
     assert run("product", "--phitilde", str(plane), "--nu", "1",
                "-o", str(tmp_path / "x.json"), *FAST) == 2
     assert "RankDeficient" in capsys.readouterr().err
+
+
+def _plane_file(tmp_path, phi, metric):
+    plane = tmp_path / "plane.json"
+    plane.write_text(json.dumps({
+        "coordinates": ["u", "v"],
+        "domain": {"u": [-1, 1], "v": [-1, 1]},
+        "phi": phi,
+        "metric": metric,
+    }))
+    return str(plane)
+
+
+def test_product_on_singular_or_negative_metric_exits_two(tmp_path, capsys):
+    cases = [
+        ([["0", "-1"], ["1", "0"]], [["1", "1"], ["1", "1"]],
+         "ValidationFailedError: -phitilde^2 is not positive for the plane metric\n"),
+        ([["1", "0"], ["0", "1"]], [["-1", "0"], ["0", "-1"]],
+         "SingularMetricError: metric is singular at the requested point\n"),
+    ]
+    for phi, metric, message in cases:
+        plane = _plane_file(tmp_path, phi, metric)
+        out = tmp_path / "never.json"
+        assert run("product", "--phitilde", plane, "--nu", "1", "-o", str(out), *FAST) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+
+def test_no_command_uses_the_pointwise_calculus(tmp_path, monkeypatch, capsys):
+    # every function of the per-point operators raises, under every name a
+    # wact module binds it to; each command must still finish as usual
+    def refuse(*args, **kwargs):
+        raise AssertionError("the per-point calculus was called")
+    originals = {id(fn) for fn in vars(calculus).values()
+                 if callable(fn) and getattr(fn, "__module__", None) == "wact.calculus"}
+    for module in [m for name, m in sys.modules.items() if name.startswith("wact")]:
+        for attr, value in list(vars(module).items()):
+            if id(value) in originals:
+                monkeypatch.setattr(module, attr, refuse)
+
+    plane = _plane_file(tmp_path, [["0", "-2"], ["2", "0"]], [["1", "0"], ["0", "1"]])
+    deformed, extracted = tmp_path / "deformed.json", tmp_path / "extracted.json"
+    commands = [
+        (["product", "--phitilde", plane, "--nu", "4", "-o", str(tmp_path / "p.json")], 0),
+        (["deform", R3, "--lambda", "2", "--lambda-prime", "2", "--inverse",
+          "-o", str(deformed)], 0),
+        (["extract-sasakian", str(deformed), "-o", str(extracted)], 0),
+        (["cvf", R3, "--field", "0;0;2"], 0),
+        (["bundled", "--list"], 0),
+    ]
+    for name in bundled_names():
+        valid = not name.startswith("broken_")
+        commands.append((["check", str(bundled_path(name))], 0 if valid else 2))
+        if valid:
+            commands.append((["classify", str(bundled_path(name))], 0))
+            commands.append((["verify", str(bundled_path(name))], 0))
+    for argv, code in commands:
+        assert run(*argv, *([] if argv[0] == "bundled" else FAST)) == code, argv
+        assert "per-point calculus" not in capsys.readouterr().err
 
 
 def test_cvf_command_xi(capsys):

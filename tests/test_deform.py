@@ -1,16 +1,20 @@
 """Constructive procedures: deformation, extraction, product, contact fields."""
 
+import re
+
 import numpy as np
 import pytest
 
 from conftest import FAST_PLAN, PLAN, TOL, sup
+from wact.calculus import covariant_derivative
 from wact.chart import BaseChart, SamplePlan, sample
 from wact.classify import Session, classify
 from wact.deform import (CvfResult, DeformParams, contact_vector_field, deform,
                          extract_sasakian, product_construction)
-from wact.errors import (NotContactMetricError, NotParallelError,
+from wact.errors import (DomainError, NotContactMetricError, NotParallelError,
                          NotWeakSasakianError, RankDeficientError,
-                         ValidationFailedError)
+                         SingularMetricError, ValidationFailedError,
+                         WactError)
 from wact.tensor import TensorField
 
 
@@ -207,6 +211,91 @@ def test_product_rejects_t_name_collision():
     phit = TensorField.from_sources((1, 1), [["0", "-1"], ["1", "0"]], plane)
     with pytest.raises(ValidationFailedError):
         product_construction(phit, metric, 1.0, plan=FAST_PLAN, tol=1e-8)
+
+
+# Two blocks of plane points.  In this plan the first 1 024 points have
+# x - y <= 1.69 and a later one reaches 1.79, so exp(1000 (x - y - 1.74)) has
+# a gradient below 1e-20 on the whole first block and is far from parallel
+# on part of the second.
+PLANE_PLAN = SamplePlan(count=1500, seed=45, margin=0.05)
+LATE_BUMP = "(1+exp(1000*(x-y-1.74)))"
+
+PLANES = {
+    "speed_two": ([["0", "-2"], ["2", "0"]], [["1", "0"], ["0", "1"]]),
+    "conformal": ([["0", "-2"], ["2", "0"]],
+                  [["(1+x^2/4)^2", "0"], ["0", "(1+x^2/4)^2"]]),
+    "rank_deficient": ([["0", "0"], ["1", "0"]], [["1", "0"], ["0", "1"]]),
+    "non_parallel": ([["0", "-(1+x^2)"], ["1+x^2", "0"]], [["1", "0"], ["0", "1"]]),
+    "late_non_parallel": ([["0", f"-{LATE_BUMP}"], [LATE_BUMP, "0"]],
+                          [["1", "0"], ["0", "1"]]),
+    "non_positive": ([["1", "0"], ["0", "1"]], [["1", "0"], ["0", "1"]]),
+    "singular_metric": ([["0", "-1"], ["1", "0"]], [["1", "1"], ["1", "1"]]),
+    "negative_definite": ([["1", "0"], ["0", "1"]], [["-1", "0"], ["0", "-1"]]),
+}
+
+
+def plane_fields(name):
+    plane = BaseChart(("x", "y"), (-1, -1), (1, 1))
+    phi, metric = PLANES[name]
+    return (TensorField.from_sources((1, 1), phi, plane),
+            TensorField.from_sources((0, 2), metric, plane))
+
+
+def first_plane_failure(phit, metric, plan, tol):
+    """(error class, point index) of the first failing plane test, or None.
+
+    Checks one sample point at a time with `calculus.covariant_derivative`,
+    in the order full rank, -phitilde^2 self-adjoint, positive, metric
+    positive definite, parallel.
+    """
+    two_n = phit.chart.dim
+    for k, p in enumerate(sample(phit.chart, plan)):
+        pv = phit.values(p)
+        sv = np.linalg.svd(pv, compute_uv=False)
+        if np.sum(sv > 1e-8 * sv[0]) != two_n:
+            return RankDeficientError, k
+        s_op = metric.values(p) @ -(pv @ pv)
+        if np.max(np.abs(s_op - s_op.T)) > tol * (1.0 + np.max(np.abs(s_op))):
+            return ValidationFailedError, k
+        if np.min(np.linalg.eigvalsh(0.5 * (s_op + s_op.T))) <= 0.0:
+            return ValidationFailedError, k
+        try:
+            nabla = covariant_derivative(phit, metric, p)
+        except SingularMetricError:
+            return SingularMetricError, k
+        if np.max(np.abs(nabla.data)) > tol:
+            return NotParallelError, k
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(PLANES))
+def test_product_plane_checks_match_the_pointwise_oracle(name):
+    phit, metric = plane_fields(name)
+    expected = first_plane_failure(phit, metric, PLANE_PLAN, 1e-8)
+    if expected is None:
+        s = product_construction(phit, metric, 4.0, plan=PLANE_PLAN, tol=1e-8)
+        assert s.chart.coords == ("x", "y", "t")
+        return
+    cls, index = expected
+    if name == "late_non_parallel":
+        assert index >= 1024
+    with pytest.raises(WactError) as err:
+        product_construction(phit, metric, 1.0, plan=PLANE_PLAN, tol=1e-8)
+    assert type(err.value) is cls
+    point = tuple(float(v) for v in sample(phit.chart, PLANE_PLAN)[index])
+    if cls in (RankDeficientError, NotParallelError):
+        assert str(err.value).endswith(f" at {point}")
+
+
+def test_product_plane_domain_error_names_field_and_point():
+    plane = BaseChart(("x", "y"), (-1, -1), (1, 1))
+    phit = TensorField.from_sources((1, 1), [["0", "-1"], ["log(x)+1", "0"]], plane)
+    metric = TensorField.constant((0, 2), np.eye(2), plane)
+    with pytest.raises(DomainError) as err:
+        product_construction(phit, metric, 1.0, plan=FAST_PLAN, tol=1e-8)
+    message = str(err.value)
+    assert message.startswith("phitilde[1][0]: ")
+    assert re.search(r"at sample point \(-?[0-9.e-]+, -?[0-9.e-]+\)$", message)
 
 
 # -- contact vector fields -------------------------------------------------------------

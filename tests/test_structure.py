@@ -16,8 +16,7 @@ from wact.calculus import (affine_vector_field, constant_vector_field,
 from wact.chart import CounterStream, SamplePlan, sample
 from wact.dual import Dual, real_part
 from wact.errors import AxiomViolationError
-from wact.structure import (N1, N2, N3, N4, N5, Structure, StructureJet,
-                            derived_tensors, h_tensor, validate)
+from wact.structure import StructureJet, validate
 from wact.tensor import TensorField
 
 
@@ -148,14 +147,13 @@ def test_pointwise_api_contracts(sasakian_r3):
     X = np.array([1.0, 0.5, -0.25])
     Y = np.array([0.0, 1.0, 0.75])
     Z = np.array([-1.0, 0.25, 0.5])
-    assert sup(N1(sasakian_r3, X, Y, p).data) < 1e-12
-    assert abs(N2(sasakian_r3, X, Y, p)) < 1e-12
-    assert sup(N3(sasakian_r3, X, p).data) < 1e-12
-    assert abs(N4(sasakian_r3, X, p)) < 1e-12
-    assert abs(N5(sasakian_r3, X, Y, Z, p)) < 1e-12
-    bundle = derived_tensors(sasakian_r3, p)
-    assert sup(bundle.Qtilde.data) < 1e-12
-    assert abs(bundle.N5(X, Y, Z)) < 1e-12
+    j = StructureJet(sasakian_r3, p)
+    assert sup(np.einsum("ijk,j,k->i", j.N1, X, Y)) < 1e-12
+    assert abs(np.einsum("jk,j,k->", j.N2, X, Y)) < 1e-12
+    assert sup(j.N3 @ X) < 1e-12
+    assert abs(j.N4 @ X) < 1e-12
+    assert abs(np.einsum("abc,a,b,c->", j.N5, X, Y, Z)) < 1e-12
+    assert sup(j.Qtilde) < 1e-12
 
 
 # -- N5 ---------------------------------------------------------------------------
@@ -393,11 +391,11 @@ def test_a_and_b_vanish_for_identity_q(contact_h, sessions):
 
 
 def test_h_tensor_api(sasakian_r3):
-    h, h_star, a, b = h_tensor(sasakian_r3, (0.2, 0.3, -0.4))
-    assert sup(h.data) < 1e-12
-    assert sup(h_star.data) < 1e-12
-    assert sup(a.data) < 1e-12
-    assert sup(b.data) < 1e-12
+    j = StructureJet(sasakian_r3, (0.2, 0.3, -0.4))
+    assert sup(j.h) < 1e-12
+    assert sup(j.h_star) < 1e-12
+    assert sup(j.A_op) < 1e-12
+    assert sup(j.B_op) < 1e-12
 
 
 def test_h_star_is_metric_adjoint(weak_contact_h, sessions):

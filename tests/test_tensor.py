@@ -1,30 +1,14 @@
-"""Tensor values and fields: contraction, musical isomorphisms, projection."""
+"""Tensor values and expression fields: evaluation, shapes and source round trips."""
 
 import numpy as np
 import pytest
 
-from conftest import sup
-from wact.chart import BaseChart, Chart, CounterStream
-from wact.errors import SingularMetricError, SlotMismatchError
-from wact.tensor import TensorField, TensorValue, contract, music, project_D
+from wact.chart import BaseChart, Chart
+from wact.tensor import TensorField, TensorValue
 
 
 def chart3():
     return Chart(("x", "y", "z"), (-1, -1, -1), (1, 1, 1))
-
-
-def inverse3(m):
-    """Explicit 3x3 inverse by cofactors (oracle, no linalg)."""
-    a, b, c = m[0]
-    d, e, f = m[1]
-    g, h, i = m[2]
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    adj = np.array([
-        [e * i - f * h, c * h - b * i, b * f - c * e],
-        [f * g - d * i, a * i - c * g, c * d - a * f],
-        [d * h - e * g, b * g - a * h, a * e - b * d],
-    ])
-    return adj / det
 
 
 # -- evaluation -------------------------------------------------------------
@@ -55,121 +39,7 @@ def test_tensor_value_rejects_bad_shapes_and_nonfinite():
         TensorValue(1, 0, np.array([1.0, np.nan, 0.0]))
 
 
-# -- contraction ------------------------------------------------------------
-
-def test_contract_delta_with_vector():
-    delta = TensorValue(1, 1, np.eye(3))
-    v = TensorValue(1, 0, np.array([1.0, 2.0, 3.0]))
-    out = contract(delta, 1, v, 0)
-    assert (out.r, out.s) == (1, 0)
-    assert np.array_equal(out.data, v.data)
-
-
-def test_contract_eta_xi_is_one(sasakian_r3):
-    p = (0.2, -0.4, 0.6)
-    eta = sasakian_r3.eta.evaluate(p)
-    xi = sasakian_r3.xi.evaluate(p)
-    assert abs(contract(eta, 0, xi, 0).scalar() - 1.0) < 1e-12
-
-
-def test_contract_g_xi_xi_is_one(sasakian_r3):
-    # oracle: direct evaluation of g xi xi from the component arrays
-    p = (0.5, 0.3, -0.7)
-    g = sasakian_r3.g.evaluate(p)
-    xi = sasakian_r3.xi.evaluate(p)
-    direct = float(xi.data @ g.data @ xi.data)
-    once = contract(g, 0, xi, 0)
-    twice = contract(once, 0, xi, 0)
-    assert abs(twice.scalar() - direct) < 1e-14
-    assert abs(direct - 1.0) < 1e-12
-
-
-def test_contract_rejects_same_variance():
-    v = TensorValue(1, 0, np.ones(3))
-    with pytest.raises(SlotMismatchError):
-        contract(v, 0, v, 0)
-
-
-# -- music ------------------------------------------------------------------
-
-def random_spd(seed):
-    stream = CounterStream(seed, stream=9)
-    m = np.array([[stream.symmetric(3 * i + j) for j in range(3)] for i in range(3)])
-    return m @ m.T + 3.0 * np.eye(3)
-
-
-def test_music_raise_then_lower_roundtrip():
-    g = TensorValue(0, 2, random_spd(1))
-    w = TensorValue(0, 1, np.array([0.3, -1.2, 0.8]))
-    up = music(g, w, 0, "raise")
-    down = music(g, up, 0, "lower")
-    assert sup(down.data - w.data) < 1e-10 * (1 + sup(w.data))
-
-
-def test_music_lower_xi_gives_eta(sasakian_r3):
-    p = (0.1, 0.7, -0.2)
-    g = sasakian_r3.g.evaluate(p)
-    xi = sasakian_r3.xi.evaluate(p)
-    eta = sasakian_r3.eta.evaluate(p)
-    lowered = music(g, xi, 0, "lower")
-    assert sup(lowered.data - eta.data) < 1e-12
-
-
-def test_music_raise_second_slot_matches_inverse_oracle():
-    g_data = random_spd(4)  # non-diagonal SPD
-    g = TensorValue(0, 2, g_data)
-    deta = np.array([[0.0, 0.25, -0.1], [-0.25, 0.0, 0.4], [0.1, -0.4, 0.0]])
-    t = TensorValue(0, 2, deta)
-    raised = music(g, t, 1, "raise")
-    oracle = np.einsum("ab,ib->ai", inverse3(g_data), deta)
-    assert (raised.r, raised.s) == (1, 1)
-    assert sup(raised.data - oracle) < 1e-10
-
-
-def test_music_rejects_wrong_direction_and_singular_metric():
-    g = TensorValue(0, 2, np.eye(3))
-    v = TensorValue(1, 0, np.ones(3))
-    with pytest.raises(SlotMismatchError):
-        music(g, v, 0, "raise")
-    singular = TensorValue(0, 2, np.diag([1.0, 1.0, 0.0]))
-    w = TensorValue(0, 1, np.ones(3))
-    with pytest.raises(SingularMetricError):
-        music(singular, w, 0, "raise")
-
-
-# -- projection ---------------------------------------------------------------
-
-def test_project_xi_to_zero():
-    xi = TensorValue(1, 0, np.array([0.0, 0.0, 2.0]))
-    eta = TensorValue(0, 1, np.array([0.0, 0.0, 0.5]))
-    v = project_D(xi, xi, eta)
-    assert sup(v.data) == 0.0
-
-
-def test_project_fixed_on_kernel():
-    xi = TensorValue(1, 0, np.array([0.0, 0.0, 1.0]))
-    eta = TensorValue(0, 1, np.array([0.0, 0.0, 1.0]))
-    v = TensorValue(1, 0, np.array([1.0, -2.0, 0.0]))
-    assert np.array_equal(project_D(v, xi, eta).data, v.data)
-
-
-def test_project_example():
-    xi = TensorValue(1, 0, np.array([0.0, 0.0, 1.0]))
-    eta = TensorValue(0, 1, np.array([0.0, 0.0, 1.0]))
-    v = TensorValue(1, 0, np.array([1.0, 1.0, 1.0]))
-    assert np.array_equal(project_D(v, xi, eta).data, [1.0, 1.0, 0.0])
-
-
-def test_project_idempotent(sasakian_r3, sessions):
-    ses = sessions(sasakian_r3)
-    for index, p in enumerate(ses.points[:20]):
-        xi = sasakian_r3.xi.evaluate(p)
-        eta = sasakian_r3.eta.evaluate(p)
-        vec = TensorValue(1, 0, ses.vectors[index, 0, 0])
-        once = project_D(vec, xi, eta)
-        twice = project_D(once, xi, eta)
-        assert sup(twice.data - once.data) < 1e-12
-
+# -- sampled values ---------------------------------------------------------
 
 def test_eta_equals_g_xi_for_random_vectors(sasakian_r3, sessions):
     # eta(v) == g(v, xi) on every sampled point, for seeded random v
