@@ -107,12 +107,13 @@ FLAGS = {
 class Session:
     """Shared per-run cache: sample points, block jets, test vectors, sups.
 
-    `jets` may be handed over from `validate` over the same plan, so the
-    field jets are evaluated once per run.
+    `jets` and `per_point` may be handed over from `validate` over the same
+    plan, so the field jets are evaluated once per run and a residual that
+    validation already computed at every point is not computed again.
     """
 
     def __init__(self, s: Structure, plan: SamplePlan = DEFAULT_PLAN,
-                 tol: float = st.DEFAULT_TOL, jets=None):
+                 tol: float = st.DEFAULT_TOL, jets=None, per_point=None):
         if s.nu is None:
             raise ValueError("structure must be validated (nu resolved) before analysis")
         self.structure = s
@@ -120,6 +121,7 @@ class Session:
         self.tol = tol
         self.points = sample(s.chart, plan)
         self._sups = {}
+        self._per_point = per_point or {}
         if jets is not None:
             self.jets = list(jets)
 
@@ -159,8 +161,11 @@ class Session:
             return self.flag_residuals[key]
         if key not in self._sups:
             fn, slots = RESIDUALS[key]
-            self._sups[key] = (self.sup_contracted(fn, slots) if slots
-                               else self.sup_pointwise(fn))
+            if fn in self._per_point:
+                self._sups[key] = _worst(self._per_point[fn])
+            else:
+                self._sups[key] = (self.sup_contracted(fn, slots) if slots
+                                   else self.sup_pointwise(fn))
         return self._sups[key]
 
     # -- flags ------------------------------------------------------------------

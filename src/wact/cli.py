@@ -10,6 +10,7 @@ and no timestamps, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -37,12 +38,31 @@ _MATH_ERRORS = (AxiomViolationError, NotWeakSasakianError, RankDeficientError,
 _USAGE_ERRORS = (FileFormatError, ParseError, UnknownCheckIdError)
 
 
+def _finite(text: str) -> float:
+    """argparse type: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """argparse type: a finite float >= 0."""
+    value = _finite(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
+
+
 def _add_plan_options(p: argparse.ArgumentParser):
     p.add_argument("--points", type=int, default=100, help="sample point count")
     p.add_argument("--seed", type=int, default=42, help="sampling seed")
     p.add_argument("--margin", type=float, default=0.05,
                    help="interior margin per domain side")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                    help="residual tolerance")
     p.add_argument("--json", metavar="PATH", default=None,
                    help="also write a JSON report to PATH")
@@ -100,7 +120,7 @@ def _validated(args):
 def _validated_session(args):
     report = _validated(args)
     return report.structure, Session(report.structure, report.plan, args.tol,
-                                     jets=report.jets)
+                                     jets=report.jets, per_point=report.per_point)
 
 
 def cmd_classify(args) -> int:
@@ -248,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("deform", help="homothetic deformation")
     p.add_argument("file")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--lambda-prime", dest="lam_prime", type=float, required=True)
+    p.add_argument("--lambda", dest="lam", type=_finite, required=True)
+    p.add_argument("--lambda-prime", dest="lam_prime", type=_finite, required=True)
     p.add_argument("--inverse", action="store_true",
                    help="apply the reciprocal deformation")
     p.add_argument("-o", "--output", required=True)

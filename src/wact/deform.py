@@ -174,7 +174,7 @@ def extract_sasakian(s: Structure, plan: SamplePlan = DEFAULT_PLAN,
     report = _forward(s, s.nu, s.nu, f"{s.name}_sasakian", plan, tol)
     out = report.structure
 
-    out_ses = Session(out, plan, tol, jets=report.jets)
+    out_ses = Session(out, plan, tol, jets=report.jets, per_point=report.per_point)
     q_id = out_ses.sup_pointwise(lambda j: j.Q - j.identity)
     out_contact = out_ses.flag_residuals["weak_contact_metric"]
     out_normal = out_ses.flag_residuals["normal"]

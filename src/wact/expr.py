@@ -12,7 +12,9 @@ with func one of sin, cos, tan, exp, log, sqrt.  '^' is right-associative and
 binds tighter than unary minus, so -x^2 parses as -(x^2) and x^-2 is allowed.
 A literal integral exponent uses integer-power semantics (any base); every
 other exponent requires a positive base.  log/sqrt/division domain violations
-raise DomainError rather than producing NaN.
+raise DomainError rather than producing NaN.  A literal that overflows a
+float (1e400) is a ParseError, and a constant folded by the `make_*`
+constructors must be finite, so no expression holds an infinite constant.
 """
 
 from __future__ import annotations
@@ -188,7 +190,10 @@ class _Parser:
     def parse_atom(self):
         tok = self.advance()
         if tok.kind == "num":
-            return Num(float(tok.text), tok.pos)
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ParseError(f"number {tok.text} is too large for a float", tok.pos)
+            return Num(value, tok.pos)
         if tok.kind == "ident":
             name = tok.text
             follows_paren = (self.peek().kind == "op" and self.peek().text == "(")
@@ -476,7 +481,11 @@ def from_node(node, coords) -> ScalarExpr:
 # --------------------------------------------------------------------------
 
 def make_num(value: float) -> Num:
-    return Num(float(value))
+    """Constant node; a constant that is not finite is a ValueError."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"expression constant {value!r} is not finite")
+    return Num(value)
 
 
 def _num_value(node):
@@ -494,7 +503,7 @@ def make_neg(a):
 def make_add(a, b):
     av, bv = _num_value(a), _num_value(b)
     if av is not None and bv is not None:
-        return Num(av + bv)
+        return make_num(av + bv)
     if av == 0.0:
         return b
     if bv == 0.0:
@@ -505,7 +514,7 @@ def make_add(a, b):
 def make_sub(a, b):
     av, bv = _num_value(a), _num_value(b)
     if av is not None and bv is not None:
-        return Num(av - bv)
+        return make_num(av - bv)
     if bv == 0.0:
         return a
     if av == 0.0:
@@ -516,7 +525,7 @@ def make_sub(a, b):
 def make_mul(a, b):
     av, bv = _num_value(a), _num_value(b)
     if av is not None and bv is not None:
-        return Num(av * bv)
+        return make_num(av * bv)
     if av == 0.0 or bv == 0.0:
         return Num(0.0)
     if av == 1.0:
@@ -536,7 +545,7 @@ def make_div(a, b):
     if bv == 0.0:
         raise ZeroDivisionError("division by literal zero while building an expression")
     if av is not None and bv is not None:
-        return Num(av / bv)
+        return make_num(av / bv)
     if av == 0.0:
         return Num(0.0)
     if bv == 1.0:

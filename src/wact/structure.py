@@ -14,11 +14,13 @@ Index conventions: component arrays are [upper..., lower...]; partial
 derivatives append the differentiation axis last (d_phi[i, j, k] is the
 k-partial of phi^i_j).
 
-A contraction of three or more arrays goes through `einsum`, which contracts
-pairwise along a path planned once per subscripts and operand shapes.  The
-validation rows (and nu) keep numpy's single-loop order, so validation
-reports do not depend on the path; the identity residuals may move in the
-last bit or two against that order, and verdicts do not.
+Every contraction of two or more block arrays (the jet's tensors, the
+Christoffel symbols and the identity residuals) goes through `einsum`, which
+contracts pairwise along a path planned once per subscripts and operand
+shapes.  The validation rows, nu and `matvec` keep numpy's single-loop
+`np.einsum`, so validation reports do not depend on the path; flag and
+identity residuals may move in the last bit or two against that order, and
+verdicts do not.
 """
 
 from __future__ import annotations
@@ -149,20 +151,20 @@ class StructureJet:
     @cached_property
     def Phi(self):
         """Fundamental 2-form Phi_{ij} = g(e_i, phi e_j)."""
-        return np.einsum("...ia,...aj->...ij", self.g, self.phi)
+        return einsum("...ia,...aj->...ij", self.g, self.phi)
 
     @cached_property
     def dPhi(self):
         """(d Phi)_{ijk} with the 1/3 normalization."""
-        pd = (np.einsum("...iak,...aj->...ijk", self.d_g, self.phi)
-              + np.einsum("...ia,...ajk->...ijk", self.g, self.d_phi))  # d_k Phi_ij
-        return (np.einsum("...jki->...ijk", pd) + np.einsum("...kij->...ijk", pd) + pd) / 3.0
+        pd = (einsum("...iak,...aj->...ijk", self.d_g, self.phi)
+              + einsum("...ia,...ajk->...ijk", self.g, self.d_phi))  # d_k Phi_ij
+        return (einsum("...jki->...ijk", pd) + einsum("...kij->...ijk", pd) + pd) / 3.0
 
     @cached_property
     def d_dEta(self):
         """partials[i, j, k] = d_k (dEta)_{ij} (needs the eta hessian)."""
         h = self.eta_hessian  # h[m, i, k] = d_k d_i eta_m
-        return 0.5 * (np.einsum("...jik->...ijk", h) - h)
+        return 0.5 * (einsum("...jik->...ijk", h) - h)
 
     # -- connection ------------------------------------------------------------
 
@@ -179,65 +181,65 @@ class StructureJet:
     @cached_property
     def nabla_xi(self):
         """nabla_xi[i, k] = (nabla_k xi)^i."""
-        return self.d_xi + np.einsum("...ika,...a->...ik", self.gamma, self.xi)
+        return self.d_xi + einsum("...ika,...a->...ik", self.gamma, self.xi)
 
     @cached_property
     def nabla_xi_xi(self):
-        return np.einsum("...ik,...k->...i", self.nabla_xi, self.xi)
+        return einsum("...ik,...k->...i", self.nabla_xi, self.xi)
 
     # -- torsions and the N-tensors ---------------------------------------------
 
     @cached_property
     def nijenhuis_phi(self):
         """[phi, phi]^i_{jk} on coordinate extensions."""
-        return (np.einsum("...lj,...ikl->...ijk", self.phi, self.d_phi)
-                - np.einsum("...lk,...ijl->...ijk", self.phi, self.d_phi)
-                - np.einsum("...il,...lkj->...ijk", self.phi, self.d_phi)
-                + np.einsum("...il,...ljk->...ijk", self.phi, self.d_phi))
+        return (einsum("...lj,...ikl->...ijk", self.phi, self.d_phi)
+                - einsum("...lk,...ijl->...ijk", self.phi, self.d_phi)
+                - einsum("...il,...lkj->...ijk", self.phi, self.d_phi)
+                + einsum("...il,...ljk->...ijk", self.phi, self.d_phi))
 
     @cached_property
     def nijenhuis_phi_nabla_form(self):
         """Same torsion assembled from nabla(phi) instead of raw partials."""
         np_ = self.nabla_phi
-        return (np.einsum("...im,...mjk->...ijk", self.phi, np_)
-                - np.einsum("...lk,...ijl->...ijk", self.phi, np_)
-                - np.einsum("...im,...mkj->...ijk", self.phi, np_)
-                + np.einsum("...lj,...ikl->...ijk", self.phi, np_))
+        return (einsum("...im,...mjk->...ijk", self.phi, np_)
+                - einsum("...lk,...ijl->...ijk", self.phi, np_)
+                - einsum("...im,...mkj->...ijk", self.phi, np_)
+                + einsum("...lj,...ikl->...ijk", self.phi, np_))
 
     @cached_property
     def N1(self):
         """N1[i, j, k] = [phi,phi]^i_{jk} + 2 (dEta)_{jk} (Q xi)^i."""
-        return self.nijenhuis_phi + 2.0 * np.einsum("...jk,...i->...ijk", self.dEta, self.Qxi)
+        return self.nijenhuis_phi + 2.0 * einsum("...jk,...i->...ijk", self.dEta, self.Qxi)
 
     @cached_property
     def N2(self):
         """N2[j, k] = 2 dEta(phi e_j, e_k) - 2 dEta(phi e_k, e_j)."""
-        m = np.einsum("...aj,...ak->...jk", self.phi, self.dEta)
+        m = einsum("...aj,...ak->...jk", self.phi, self.dEta)
         return 2.0 * (m - transpose(m))
 
     @cached_property
     def N2_lie_form(self):
         """N2 from the Lie-derivative definition (cross-check route)."""
-        t = (np.einsum("...aj,...ka->...jk", self.phi, self.d_eta_partials)
-             + np.einsum("...m,...mjk->...jk", self.eta, self.d_phi))
+        t = (einsum("...aj,...ka->...jk", self.phi, self.d_eta_partials)
+             + einsum("...m,...mjk->...jk", self.eta, self.d_phi))
         return t - transpose(t)
 
     @cached_property
     def N3(self):
         """N3[i, j] = (Lie_xi phi)^i_j."""
-        return (np.einsum("...a,...ija->...ij", self.xi, self.d_phi)
-                - np.einsum("...aj,...ia->...ij", self.phi, self.d_xi)
-                + np.einsum("...ia,...aj->...ij", self.phi, self.d_xi))
+        return (einsum("...a,...ija->...ij", self.xi, self.d_phi)
+                - einsum("...aj,...ia->...ij", self.phi, self.d_xi)
+                + einsum("...ia,...aj->...ij", self.phi, self.d_xi))
 
     @cached_property
     def N4(self):
         """N4[j] = 2 dEta(xi, e_j)."""
-        return 2.0 * np.einsum("...a,...aj->...j", self.xi, self.dEta)
+        return 2.0 * einsum("...a,...aj->...j", self.xi, self.dEta)
 
     @cached_property
     def _proj_metric(self):
         """H[m, n] = g(e_m - eta_m xi, e_n)."""
-        c = np.einsum("...m,...mn->...n", self.xi, self.g)
+        c = einsum("...m,...mn->...n", self.xi, self.g)
         return self.g - outer(self.eta, c), c
 
     @cached_property
@@ -245,18 +247,18 @@ class StructureJet:
         """Full (0,3) array of the trilinear tensor, on coordinate extensions."""
         H, c = self._proj_metric
         Qt = self.Qtilde
-        dc = (np.einsum("...mk,...mn->...nk", self.d_xi, self.g)
-              + np.einsum("...m,...mnk->...nk", self.xi, self.d_g))
+        dc = (einsum("...mk,...mn->...nk", self.d_xi, self.g)
+              + einsum("...m,...mnk->...nk", self.xi, self.d_g))
         dH = (self.d_g
-              - np.einsum("...ak,...n->...ank", self.d_eta_partials, c)
-              - np.einsum("...a,...nk->...ank", self.eta, dc))
-        ds = (np.einsum("...ank,...nb->...abk", dH, Qt)
-              + np.einsum("...an,...nbk->...abk", H, self.d_Q))
-        t1 = np.einsum("...kc,...abk->...abc", self.phi, ds)
-        t2 = -np.einsum("...kb,...ack->...abc", self.phi, ds)
+              - einsum("...ak,...n->...ank", self.d_eta_partials, c)
+              - einsum("...a,...nk->...ank", self.eta, dc))
+        ds = (einsum("...ank,...nb->...abk", dH, Qt)
+              + einsum("...an,...nbk->...abk", H, self.d_Q))
+        t1 = einsum("...kc,...abk->...abc", self.phi, ds)
+        t2 = -einsum("...kb,...ack->...abc", self.phi, ds)
         t3 = einsum("...mca,...mn,...nb->...abc", self.d_phi, H, Qt)
         t4 = -einsum("...mba,...mn,...nc->...abc", self.d_phi, H, Qt)
-        w5 = np.einsum("...mcb->...mbc", self.d_phi) - self.d_phi
+        w5 = einsum("...mcb->...mbc", self.d_phi) - self.d_phi
         t5 = einsum("...mbc,...mn,...na->...abc", w5, H, Qt)
         return t1 + t2 + t3 + t4 + t5
 
@@ -265,7 +267,7 @@ class StructureJet:
     @cached_property
     def g_nabla_phi(self):
         """g((nabla_X phi) Y, Z), index order [X, Y, Z]."""
-        return np.einsum("...mba,...mc->...abc", self.nabla_phi, self.g)
+        return einsum("...mba,...mc->...abc", self.nabla_phi, self.g)
 
     @cached_property
     def contact_terms(self):
@@ -306,20 +308,20 @@ class StructureJet:
 
     @cached_property
     def lie_xi_g(self):
-        return (np.einsum("...a,...ija->...ij", self.xi, self.d_g)
-                + np.einsum("...aj,...ai->...ij", self.g, self.d_xi)
-                + np.einsum("...ia,...aj->...ij", self.g, self.d_xi))
+        return (einsum("...a,...ija->...ij", self.xi, self.d_g)
+                + einsum("...aj,...ai->...ij", self.g, self.d_xi)
+                + einsum("...ia,...aj->...ij", self.g, self.d_xi))
 
     @cached_property
     def lie_xi_eta(self):
-        return (np.einsum("...a,...ia->...i", self.xi, self.d_eta_partials)
-                + np.einsum("...a,...ai->...i", self.eta, self.d_xi))
+        return (einsum("...a,...ia->...i", self.xi, self.d_eta_partials)
+                + einsum("...a,...ai->...i", self.eta, self.d_xi))
 
     @cached_property
     def lie_xi_dEta(self):
-        return (np.einsum("...a,...ija->...ij", self.xi, self.d_dEta)
-                + np.einsum("...aj,...ai->...ij", self.dEta, self.d_xi)
-                + np.einsum("...ia,...aj->...ij", self.dEta, self.d_xi))
+        return (einsum("...a,...ija->...ij", self.xi, self.d_dEta)
+                + einsum("...aj,...ai->...ij", self.dEta, self.d_xi)
+                + einsum("...ia,...aj->...ij", self.dEta, self.d_xi))
 
 
 def blocks(points: np.ndarray) -> list:
@@ -337,14 +339,16 @@ def block_jets(s: Structure, points: np.ndarray) -> list:
 # --------------------------------------------------------------------------
 
 def einsum(subscripts: str, *operands):
-    """`np.einsum`, along a contraction path planned once when 3 or more operands meet.
+    """`np.einsum`, along a contraction path planned once when 2 or more operands meet.
 
-    The greedy path (Smith & Gray, "opt_einsum", JOSS 2018) contracts pairs
-    and keeps every intermediate no larger than the largest operand or the
+    The greedy path (Smith & Gray, "opt_einsum", JOSS 2018) contracts pairs,
+    each a batched matmul or elementwise product over the point axis, and
+    keeps every intermediate no larger than the largest operand or the
     result, where a plain `np.einsum` runs one loop nest over every index at
-    once.  The path is cached by subscripts and operand shapes.
+    once.  The path is cached by subscripts and operand shapes.  One operand
+    (a permutation) is plain `np.einsum`.
     """
-    if len(operands) < 3:
+    if len(operands) < 2:
         return np.einsum(subscripts, *operands)
     path = _contraction_path(subscripts, tuple(np.shape(op) for op in operands))
     return np.einsum(subscripts, *operands, optimize=path)
@@ -358,16 +362,16 @@ def _contraction_path(subscripts: str, shapes: tuple) -> list:
 
 def christoffel(g_inv, d_g):
     """Christoffel symbols gamma[k, i, j] of a metric from its inverse and partials."""
-    A = np.einsum("...jli->...ijl", d_g)  # A[i,j,l] = d_i g_{jl}
-    B = A + np.einsum("...jil->...ijl", A) - np.einsum("...lij->...ijl", A)
-    return 0.5 * np.einsum("...kl,...ijl->...kij", g_inv, B)
+    A = einsum("...jli->...ijl", d_g)  # A[i,j,l] = d_i g_{jl}
+    B = A + einsum("...jil->...ijl", A) - einsum("...lij->...ijl", A)
+    return 0.5 * einsum("...kl,...ijl->...kij", g_inv, B)
 
 
 def nabla_11(t, d_t, gamma):
     """Covariant derivative of a (1,1) tensor: out[i, j, k] = (nabla_k t)^i_j."""
     return (d_t
-            + np.einsum("...ika,...aj->...ijk", gamma, t)
-            - np.einsum("...akj,...ia->...ijk", gamma, t))
+            + einsum("...ika,...aj->...ijk", gamma, t)
+            - einsum("...akj,...ia->...ijk", gamma, t))
 
 
 def numeric_rank(m):
@@ -522,6 +526,8 @@ class ValidationReport:
     nu: float | None
     structure: Structure | None
     jets: tuple = field(default=(), compare=False, repr=False)
+    # residual function -> its value at each sample point, for a later Session
+    per_point: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -588,7 +594,8 @@ def validate(s: Structure, plan: SamplePlan = DEFAULT_PLAN,
 
     Returns a report whose `structure` carries the resolved nu when all rows
     pass (and also when only derived rows fail, so callers can inspect), and
-    whose `jets` hold the block jets for a later Session over the same plan.
+    whose `jets` and `per_point` row values serve a later Session over the
+    same plan.
     """
     points = sample(s.chart, plan)
     jets = block_jets(s, points)
@@ -609,17 +616,19 @@ def validate(s: Structure, plan: SamplePlan = DEFAULT_PLAN,
     for j in jets:
         j.structure = resolved  # let jets see the resolved constant
 
-    rows = [row(axiom, kind, per_point(fn), tol, "<=")
+    values = {fn: per_point(fn) for _, _, fn in _POINTWISE_AXIOMS}
+    values[_res_q_xi_alignment] = per_point(_res_q_xi_alignment)
+    rows = [row(axiom, kind, values[fn], tol, "<=")
             for axiom, kind, fn in _POINTWISE_AXIOMS]
 
     # Q xi = nu xi with nu a positive constant.
-    values = np.maximum(per_point(_res_q_xi_alignment),
-                        per_point(lambda j: np.abs(j.nu_at_point - nu)))
+    q_values = np.maximum(values[_res_q_xi_alignment],
+                          per_point(lambda j: np.abs(j.nu_at_point - nu)))
     if nu <= 0.0:
-        q_row = row("q_xi_nu", "axiom", values, tol, "<=",
+        q_row = row("q_xi_nu", "axiom", q_values, tol, "<=",
                     f"nu = {nu} is not positive", 1.0 + abs(nu))
     else:
-        q_row = row("q_xi_nu", "axiom", values, tol, "<=")
+        q_row = row("q_xi_nu", "axiom", q_values, tol, "<=")
     rows.insert(4, q_row)
 
     # Nonsingularity: smallest relative singular value must stay above threshold.
@@ -635,7 +644,7 @@ def validate(s: Structure, plan: SamplePlan = DEFAULT_PLAN,
                     f"rank {ranks[worst]} vs 2n = {target}"))
 
     return ValidationReport(s.name, plan, tol, tuple(rows), float(nu), resolved,
-                            tuple(jets))
+                            tuple(jets), values)
 
 
 # --------------------------------------------------------------------------
@@ -649,7 +658,7 @@ def master_identity_terms(j: StructureJet):
     """
     r1 = 3.0 * einsum("...amn,...mb,...nc->...abc", j.dPhi, j.phi, j.phi)
     r2 = -3.0 * j.dPhi
-    r4 = np.einsum("...bc,...a->...abc", j.N2, j.eta)
+    r4 = einsum("...bc,...a->...abc", j.N2, j.eta)
     return 2.0 * j.g_nabla_phi, r1 + r2 + r4 + j.contact_terms + j.N5
 
 
@@ -666,7 +675,7 @@ def contact_identity_residual(j: StructureJet) -> np.ndarray:
 def xi_direction_identity_residual(j: StructureJet) -> np.ndarray:
     """2 g((nabla_xi phi) Y, Z) - N5(xi, Y, Z), as a (dim, dim) array."""
     lhs = 2.0 * einsum("...mba,...mc,...a->...bc", j.nabla_phi, j.g, j.xi)
-    rhs = np.einsum("...abc,...a->...bc", j.N5, j.xi)
+    rhs = einsum("...abc,...a->...bc", j.N5, j.xi)
     return lhs - rhs
 
 
@@ -682,16 +691,16 @@ def n2_reduction_residual(j: StructureJet) -> np.ndarray:
     Qtxi = matvec(Qt, j.xi)
     # U_a = Qtilde(e_a - eta_a xi), as a field built on coordinate extensions
     U = Qt - outer(Qtxi, j.eta)
-    dQtxi = (np.einsum("...mnk,...n->...mk", j.d_Q, j.xi)
-             + np.einsum("...mn,...nk->...mk", Qt, j.d_xi))
+    dQtxi = (einsum("...mnk,...n->...mk", j.d_Q, j.xi)
+             + einsum("...mn,...nk->...mk", Qt, j.d_xi))
     dU = (j.d_Q
-          - np.einsum("...ak,...m->...mak", j.d_eta_partials, Qtxi)
-          - np.einsum("...a,...mk->...mak", j.eta, dQtxi))
-    bracket = (np.einsum("...ka,...ibk->...iab", U, j.d_phi)
-               - np.einsum("...kb,...iak->...iab", j.phi, dU))
-    f1 = np.einsum("...i,...iab->...ab", j.eta, bracket)
+          - einsum("...ak,...m->...mak", j.d_eta_partials, Qtxi)
+          - einsum("...a,...mk->...mak", j.eta, dQtxi))
+    bracket = (einsum("...ka,...ibk->...iab", U, j.d_phi)
+               - einsum("...kb,...iak->...iab", j.phi, dU))
+    f1 = einsum("...i,...iab->...ab", j.eta, bracket)
     ctil = einsum("...i,...ij,...j->...", Qtxi, j.g, j.xi)[..., None, None]
-    f2 = -ctil * np.einsum("...m,...mab->...ab", j.eta, j.d_phi)
+    f2 = -ctil * einsum("...m,...mab->...ab", j.eta, j.d_phi)
     return j.N2 - f1 - f2
 
 
@@ -703,20 +712,20 @@ def n2_reduction_residual_nu_weighted(j: StructureJet) -> np.ndarray:
     nu = 1 and vanishes on every normal example at machine precision.
     """
     nu = np.asarray(j.nu)[..., None, None]
-    br_qt = (np.einsum("...ka,...mbk->...mab", j.Qtilde, j.d_phi)
-             - np.einsum("...kb,...mak->...mab", j.phi, j.d_Q))
-    eta_qt = np.einsum("...m,...mab->...ab", j.eta, br_qt)
+    br_qt = (einsum("...ka,...mbk->...mab", j.Qtilde, j.d_phi)
+             - einsum("...kb,...mak->...mab", j.phi, j.d_Q))
+    eta_qt = einsum("...m,...mab->...ab", j.eta, br_qt)
     # eta([e_a, phi e_b]) on coordinate extensions
-    eta_x_phiy = np.einsum("...m,...mba->...ab", j.eta, j.d_phi)
+    eta_x_phiy = einsum("...m,...mba->...ab", j.eta, j.d_phi)
     return j.N2 - (eta_qt / nu) + ((nu - 1.0) / nu) * eta_x_phiy
 
 
 def h_adjoint_identity_residual(j: StructureJet) -> np.ndarray:
     """g((h - h*) X, Y) minus its bracket expansion."""
     H, _ = j._proj_metric
-    lhs = np.einsum("...ma,...mb->...ab", j.h - j.h_star, j.g)
-    K = (np.einsum("...k,...mbk->...mb", j.xi, j.d_phi)
-         - np.einsum("...kb,...mk->...mb", j.phi, j.d_xi))
+    lhs = einsum("...ma,...mb->...ab", j.h - j.h_star, j.g)
+    K = (einsum("...k,...mbk->...mb", j.xi, j.d_phi)
+         - einsum("...kb,...mk->...mb", j.phi, j.d_xi))
     rhs = (einsum("...mb,...mn,...na->...ab", K, H, j.Qtilde)
            - einsum("...ma,...mn,...nb->...ab", K, H, j.Qtilde))
     return lhs - rhs
@@ -724,9 +733,9 @@ def h_adjoint_identity_residual(j: StructureJet) -> np.ndarray:
 
 def h_anticommutator_identity_residual(j: StructureJet) -> np.ndarray:
     """(h phi + phi h) X minus (1/2)([Qtilde X, xi] - Qtilde [X, xi])."""
-    rhs = 0.5 * (np.einsum("...ka,...mk->...ma", j.Qtilde, j.d_xi)
-                 - np.einsum("...k,...mak->...ma", j.xi, j.d_Q)
-                 - np.einsum("...mk,...ka->...ma", j.Qtilde, j.d_xi))
+    rhs = 0.5 * (einsum("...ka,...mk->...ma", j.Qtilde, j.d_xi)
+                 - einsum("...k,...mak->...ma", j.xi, j.d_Q)
+                 - einsum("...mk,...ka->...ma", j.Qtilde, j.d_xi))
     return j.A_op - rhs
 
 
@@ -744,16 +753,16 @@ def b_phi_identity_residual(j: StructureJet) -> np.ndarray:
     t1 = einsum("...abj,...ak,...b->...jk", j.N5, j.phi2, j.xi)
     t2 = -einsum("...abc,...aj,...b,...ck->...jk", j.N5, j.phi, j.xi, j.phi)
     op = j.B_op @ j.phi + 2.0 * (j.phi @ j.h)
-    rhs = 2.0 * np.einsum("...mj,...mk->...jk", op, j.g)
+    rhs = 2.0 * einsum("...mj,...mk->...jk", op, j.g)
     return t1 + t2 - rhs
 
 
 def sasakian_nabla_phi_residual(j: StructureJet) -> np.ndarray:
     """g((nabla_X phi) Y, Z) minus the Sasakian-type closed form."""
     lhs = j.g_nabla_phi
-    QG = np.einsum("...ma,...mb->...ab", j.Q, j.g)
-    rhs = (np.einsum("...ab,...c->...abc", QG, j.eta)
-           - np.einsum("...ac,...b->...abc", QG, j.eta)
+    QG = einsum("...ma,...mb->...ab", j.Q, j.g)
+    rhs = (einsum("...ab,...c->...abc", QG, j.eta)
+           - einsum("...ac,...b->...abc", QG, j.eta)
            + 0.5 * j.N5)
     return lhs - rhs
 
@@ -765,14 +774,14 @@ def cosymplectic_nabla_phi_residual(j: StructureJet) -> np.ndarray:
 
 def cosymplectic_dphi_residual(j: StructureJet) -> np.ndarray:
     """6 dPhi(X, Y, Z) minus the cyclic N5 sum."""
-    cyc = j.N5 + np.einsum("...bca->...abc", j.N5) + np.einsum("...cab->...abc", j.N5)
+    cyc = j.N5 + einsum("...bca->...abc", j.N5) + einsum("...cab->...abc", j.N5)
     return 6.0 * j.dPhi - cyc
 
 
 def cosymplectic_torsion_residual(j: StructureJet) -> np.ndarray:
     """2 g([phi,phi](X, Y), Z) minus the phi-shifted cyclic N5 sum."""
-    lhs = 2.0 * np.einsum("...mab,...mc->...abc", j.nijenhuis_phi, j.g)
-    rhs = (np.einsum("...mbc,...ma->...abc", j.N5, j.phi)
-           + np.einsum("...mca,...mb->...abc", j.N5, j.phi)
-           + np.einsum("...mab,...mc->...abc", j.N5, j.phi))
+    lhs = 2.0 * einsum("...mab,...mc->...abc", j.nijenhuis_phi, j.g)
+    rhs = (einsum("...mbc,...ma->...abc", j.N5, j.phi)
+           + einsum("...mca,...mb->...abc", j.N5, j.phi)
+           + einsum("...mab,...mc->...abc", j.N5, j.phi))
     return lhs - rhs

@@ -330,3 +330,71 @@ def test_cvf_reuses_the_validation_jets(tmp_path, monkeypatch, capsys):
     assert run("cvf", R3, "--field", "0;2;2*x", *FAST, "--json", str(out)) == 0
     assert built == [10, 10, 5]
     assert json.loads(out.read_text())["is_weak_contact"] is True
+
+
+def test_verify_reuses_the_validation_rows(monkeypatch, capsys):
+    # the weak almost contact metric flag takes the worst of 5 validation
+    # residuals; the Session reads validation's per-point values instead of
+    # computing them again.  Calls are counted by code object, 25 points in
+    # blocks of 10 make 3 blocks.
+    monkeypatch.setattr(structure, "BLOCK_POINTS", 10)
+    codes = {fn.__code__: fn.__name__
+             for fn in (structure._res_compatibility, structure._res_phi_invariant)}
+    calls = {name: [] for name in codes.values()}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls[codes[frame.f_code]].append(len(frame.f_locals["j"].point))
+    sys.setprofile(profile)
+    try:
+        code = run("verify", str(bundled_path("sasakian_r5")), "--check", "all", *FAST)
+    finally:
+        sys.setprofile(None)
+    assert code == 0
+    assert calls == {"_res_compatibility": [10, 10, 5], "_res_phi_invariant": [10, 10, 5]}
+
+
+def _assert_named_usage_error(code, capsys, *needles):
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    line = next(line for line in err.splitlines() if "error:" in line)
+    assert all(needle in line for needle in needles), line
+
+
+def test_non_finite_literal_is_a_named_error(tmp_path, capsys):
+    data = json.loads(bundled_path("sasakian_r3").read_text())
+    data["phi"][0][1] = "y + 0*1e400"
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(data))
+    for command in ("check", "verify"):
+        _assert_named_usage_error(run(command, str(path), *FAST), capsys,
+                                  "phi[0][1]", "1e400")
+
+
+def test_deform_factor_whose_reciprocal_overflows_is_a_named_error(tmp_path, capsys):
+    # 1 / 1e-320 overflows to inf while the deformed Q is folded
+    for inverse in ((), ("--inverse",)):
+        code = run("deform", R3, "--lambda", "1e-320", "--lambda-prime", "1", *inverse,
+                   "-o", str(tmp_path / "d.json"), *FAST)
+        _assert_named_usage_error(code, capsys, "not finite")
+    assert not (tmp_path / "d.json").exists()
+
+
+def test_non_finite_deform_factor_is_a_usage_error(tmp_path, capsys):
+    for flag in ("--lambda", "--lambda-prime"):
+        for value in ("inf", "nan"):
+            factors = {"--lambda": "2", "--lambda-prime": "2", flag: value}
+            code = run("deform", R3, *(x for kv in factors.items() for x in kv),
+                       "-o", str(tmp_path / "d.json"), *FAST)
+            _assert_named_usage_error(code, capsys, f"argument {flag}", value)
+
+
+def test_tolerance_must_be_finite_and_non_negative(capsys):
+    for value in ("nan", "inf", "-1e-6"):
+        for command in ("check", "verify"):
+            # `check --tol nan` failed every row at residual 0 (INVALID), and
+            # `--tol inf` passed broken_compatibility
+            path = str(bundled_path("broken_compatibility")) if value == "inf" else R3
+            _assert_named_usage_error(run(command, path, f"--tol={value}", *FAST), capsys,
+                                      "argument --tol", value)

@@ -294,3 +294,18 @@ def test_printer_fixed_point_random_fuzz():
             except DomainError:
                 continue  # sqrt/log wandered out of domain; values are random
             assert again.evaluate(p) == expected, (source, printed, p)
+
+
+def test_non_finite_constants_are_rejected():
+    from wact import expr as ex
+    with pytest.raises(ParseError) as err:
+        parse("y + 0*1e400", XYZ)
+    assert err.value.position == 6
+    assert parse("1e-400 + -1e308", XYZ).to_source() == "0+(-1e+308)"
+    big, tiny = ex.make_num(1e308), ex.make_num(1e-308)
+    folds = (lambda: ex.make_num(math.inf), lambda: ex.make_add(big, big),
+             lambda: ex.make_sub(ex.make_neg(big), big), lambda: ex.make_mul(big, big),
+             lambda: ex.make_div(big, tiny))
+    for fold in folds:
+        with pytest.raises(ValueError, match="not finite"):
+            fold()
