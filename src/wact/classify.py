@@ -3,7 +3,9 @@
 `RESIDUALS` maps each residual key to a function of a block jet and to how
 its array is reduced: componentwise (the sup of |entries| over the sample
 points) or contracted over 2 or 3 slots with 5 deterministic test-vector
-tuples per point (the sup over points and tuples).  `Session.residual`
+tuples per point (the sup over points and tuples): the first slot by one
+batched matmul over the points, each further slot by one per-tuple
+contraction, with no array beyond (points, tuples, dim^2).  `Session.residual`
 reduces each key once per Session.  A flag in `FLAGS` is the worst of its
 keys.  A check in `CHECKS` is one row: claim, hypothesis keys, implications
 and detail keys, and `Check.run` turns it into a `CheckResult`.
@@ -32,11 +34,6 @@ IMPLICATION_FACTOR = 10.0
 
 _TUPLES_PER_POINT = 5
 _SLOTS = 3
-_CONTRACTIONS = {
-    1: "...a,...ta->...t",
-    2: "...ab,...ta,...tb->...t",
-    3: "...abc,...ta,...tb,...tc->...t",
-}
 
 
 def _worst(*values) -> float:
@@ -144,12 +141,21 @@ class Session:
         return _worst(*parallel_map(lambda j: np.max(np.abs(fn(j))), self.jets))
 
     def sup_contracted(self, fn, slots: int) -> float:
-        """Sup over points and vector tuples of a contracted residual tensor."""
+        """Sup over points and vector tuples of a contracted residual tensor.
+
+        The first slot is one batched matmul over the points, (tuples, dim) @
+        (dim, dim^(slots-1)); each later slot, last first, contracts one more
+        axis per tuple, so no array grows beyond (points, tuples, dim^2).
+        """
 
         def per_block(item):
             jet, vec = item
-            args = [vec[:, :, k] for k in range(slots)]
-            return np.max(np.abs(st.einsum(_CONTRACTIONS[slots], fn(jet), *args)))
+            points, tuples, _, dim = vec.shape
+            y = vec[:, :, 0] @ fn(jet).reshape(points, dim, -1)
+            for k in range(slots - 1, 0, -1):
+                y = np.einsum("...ij,...j->...i", y.reshape(points, tuples, -1, dim),
+                              vec[:, :, k])
+            return np.max(np.abs(y))
 
         ends = np.cumsum([len(j.point) for j in self.jets])[:-1]
         blocks = zip(self.jets, np.split(self.vectors, ends))

@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="weak cosymplectic structure on plane x line")
     p.add_argument("--phitilde", required=True,
                    help="JSON file with plane coordinates, domain, phi, metric")
-    p.add_argument("--nu", type=float, required=True)
+    p.add_argument("--nu", type=_finite, required=True)
     p.add_argument("-o", "--output", required=True)
     _add_plan_options(p)
     p.set_defaults(fn=cmd_product)

@@ -15,6 +15,8 @@ other exponent requires a positive base.  log/sqrt/division domain violations
 raise DomainError rather than producing NaN.  A literal that overflows a
 float (1e400) is a ParseError, and a constant folded by the `make_*`
 constructors must be finite, so no expression holds an infinite constant.
+Parentheses, unary minus, function calls and powers may nest at most
+MAX_NESTING levels deep; deeper input is a ParseError, not a recursion error.
 """
 
 from __future__ import annotations
@@ -132,11 +134,24 @@ def _tokenize(source: str) -> list[_Token]:
 # Parser
 # --------------------------------------------------------------------------
 
+MAX_NESTING = 100  # levels of parentheses, unary minus, calls and powers
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], coords: dict[str, int]):
         self.tokens = tokens
         self.coords = coords
         self.i = 0
+        self.depth = 0
+
+    def nested(self, parse, pos: int):
+        """Run `parse` one nesting level deeper, refusing more than MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels", pos)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -172,7 +187,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            arg = self.parse_unary()
+            arg = self.nested(self.parse_unary, tok.pos)
             if isinstance(arg, Num):  # fold literal negation
                 return Num(-arg.value, tok.pos)
             return Unary(arg, tok.pos)
@@ -183,7 +198,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
             self.advance()
-            exponent = self.parse_unary()
+            exponent = self.nested(self.parse_unary, tok.pos)
             return Bin("^", base, exponent, tok.pos)
         return base
 
@@ -201,7 +216,7 @@ class _Parser:
                 if not follows_paren:
                     raise ParseError(f"function '{name}' needs an argument list", tok.pos)
                 self.advance()
-                arg = self.parse_expr()
+                arg = self.nested(self.parse_expr, tok.pos)
                 self.expect_op(")")
                 return Call(name, arg, tok.pos)
             if name in self.coords:
@@ -210,7 +225,7 @@ class _Parser:
                 return Const(name, tok.pos)
             raise UnknownSymbolError(name, tok.pos)
         if tok.kind == "op" and tok.text == "(":
-            node = self.parse_expr()
+            node = self.nested(self.parse_expr, tok.pos)
             self.expect_op(")")
             return node
         if tok.kind == "end":

@@ -16,16 +16,21 @@ k-partial of phi^i_j).
 
 Every contraction of two or more block arrays (the jet's tensors, the
 Christoffel symbols and the identity residuals) goes through `einsum`, which
-contracts pairwise along a path planned once per subscripts and operand
-shapes.  The validation rows, nu and `matvec` keep numpy's single-loop
-`np.einsum`, so validation reports do not depend on the path; flag and
-identity residuals may move in the last bit or two against that order, and
-verdicts do not.
+runs a step program planned once per subscripts and operand shapes: numpy's
+greedy pairwise path, each pair one batched `np.matmul` (or a broadcast
+multiply) with its sums, transposes and reshapes fixed at plan time.  Each
+pair is laid out as numpy 2's path-optimized `einsum` lays it out, so the
+sums run in the same order and the results agree bit for bit with that
+`np.einsum(..., optimize=path)`.  The validation rows, nu and `matvec` keep
+numpy's single-loop `np.einsum`, so validation reports do not depend on the
+path; flag and identity residuals may move in the last bit or two against
+that order, and verdicts do not.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -339,25 +344,117 @@ def block_jets(s: Structure, points: np.ndarray) -> list:
 # --------------------------------------------------------------------------
 
 def einsum(subscripts: str, *operands):
-    """`np.einsum`, along a contraction path planned once when 2 or more operands meet.
+    """`np.einsum`, run as a step program planned once when 2 or more operands meet.
 
     The greedy path (Smith & Gray, "opt_einsum", JOSS 2018) contracts pairs,
-    each a batched matmul or elementwise product over the point axis, and
-    keeps every intermediate no larger than the largest operand or the
+    and keeps every intermediate no larger than the largest operand or the
     result, where a plain `np.einsum` runs one loop nest over every index at
-    once.  The path is cached by subscripts and operand shapes.  One operand
-    (a permutation) is plain `np.einsum`.
+    once.  Each pair is one batched `np.matmul` over the point axis, or a
+    broadcast multiply when nothing is contracted, with every sum, transpose
+    and reshape around it fixed at plan time.  The program is cached by
+    subscripts and operand shapes.  One operand (a permutation) is plain
+    `np.einsum`.
     """
     if len(operands) < 2:
         return np.einsum(subscripts, *operands)
-    path = _contraction_path(subscripts, tuple(np.shape(op) for op in operands))
-    return np.einsum(subscripts, *operands, optimize=path)
+    operands = [np.asarray(op) for op in operands]
+    for first, second, left, right, shape, perm in _contraction_path(
+            subscripts, tuple(op.shape for op in operands)):
+        a = _arrange(operands.pop(first), left)
+        b = _arrange(operands.pop(second), right)
+        if shape is None:  # nothing is contracted
+            operands.append(a * b)
+        else:
+            operands.append(np.matmul(a, b).reshape(shape).transpose(perm))
+    return operands[0]
+
+
+def _arrange(x, layout):
+    """Apply a `_layout`: sum axes away, transpose, fuse."""
+    summed, perm, shape = layout
+    if summed:
+        x = x.sum(axis=summed)
+    return x.transpose(perm).reshape(shape)
+
+
+def _layout(term: str, groups: tuple, sizes: dict) -> tuple:
+    """Sum away the indices of `term` in no group, then fuse each group to one axis."""
+    kept = [ix for group in groups for ix in group]
+    rest = [ix for ix in term if ix in kept]
+    summed = tuple(axis for axis, ix in enumerate(term) if ix not in kept)
+    return (summed, tuple(rest.index(ix) for ix in kept),
+            tuple(math.prod(sizes[ix] for ix in group) for group in groups))
+
+
+def _pair(a: str, b: str, out: str, sizes: dict) -> tuple:
+    """The step `a,b->out` as (left, right, shape, perm).
+
+    `einsum` arranges the two operands by the `left` and `right` layouts and
+    appends their product: the matmul (batch, kept, contracted) @ (batch,
+    contracted, kept), reshaped to `shape` and transposed by `perm`, or the
+    broadcast product when nothing is contracted (`shape` None).  Each group
+    keeps the order of its term, as numpy's own pairwise einsum does, so the
+    sums run in numpy's order.
+    """
+    batch = [ix for ix in a if ix in b and ix in out]
+    contracted = [ix for ix in a if ix in b and ix not in out]
+    if not contracted:
+        return (_layout(a, tuple([ix] if ix in a else [] for ix in out), sizes),
+                _layout(b, tuple([ix] if ix in b else [] for ix in out), sizes),
+                None, None)
+    kept_a = [ix for ix in a if ix not in b and ix in out]
+    kept_b = [ix for ix in b if ix not in a and ix in out]
+    lead = (batch,) if batch else ()
+    produced = batch + kept_a + kept_b
+    return (_layout(a, lead + (kept_a, contracted), sizes),
+            _layout(b, lead + (contracted, kept_b), sizes),
+            tuple(sizes[ix] for ix in produced),
+            tuple(produced.index(ix) for ix in out))
 
 
 @lru_cache(maxsize=1024)
-def _contraction_path(subscripts: str, shapes: tuple) -> list:
-    operands = [np.broadcast_to(0.0, shape) for shape in shapes]
-    return np.einsum_path(subscripts, *operands, optimize="greedy")[0]
+def _contraction_path(subscripts: str, shapes: tuple) -> tuple:
+    """`einsum`'s step program: numpy's greedy path, with each pair's axes fixed.
+
+    A step pops the operands at positions `first`, then `second`, and
+    appends their `_pair` product.  Every operand must carry the same
+    leading point axes (the `...`), and no index may repeat within one
+    operand; other subscripts raise ValueError.
+    """
+    inputs, output = subscripts.split("->")
+    terms = inputs.split(",")
+    leads = {shape[:len(shape) - len(term.replace("...", ""))]
+             for term, shape in zip(terms, shapes)}
+    if len(leads) != 1:
+        raise ValueError(f"einsum {subscripts!r}: the operands' leading point axes "
+                         f"differ: {shapes}")
+    spare = [ix for ix in "ABCDEFGHIJKLMNOPQRSTUVWXYZ" if ix not in subscripts]
+    points = "".join(spare[:len(leads.pop())])
+    terms = [term.replace("...", points) for term in terms]
+    output = output.replace("...", points)
+    if any(len(set(term)) < len(term) for term in terms):
+        raise ValueError(f"einsum {subscripts!r}: an index repeats within one operand")
+    sizes = {ix: n for term, shape in zip(terms, shapes) for ix, n in zip(term, shape)}
+    path = np.einsum_path(",".join(terms) + "->" + output,
+                          *(np.broadcast_to(0.0, shape) for shape in shapes),
+                          optimize="greedy")[0][1:]
+    pairs, count = [], len(terms)
+    for positions in path:
+        rest = sorted(positions, reverse=True)
+        while len(rest) > 1:  # numpy leaves an outer product of 3 or more terms whole
+            pairs.append(tuple(rest[:2]))
+            count -= 1
+            rest = [count - 1] + rest[2:]
+    steps = []
+    for n, (first, second) in enumerate(pairs):
+        a, b = terms.pop(first), terms.pop(second)
+        out = output
+        if n < len(pairs) - 1:  # an intermediate keeps what later terms need, by size
+            needed = set(output).union(*terms)
+            out = "".join(sorted(set(a + b) & needed, key=lambda ix: (sizes[ix], ix)))
+        terms.append(out)
+        steps.append((first, second) + _pair(a, b, out, sizes))
+    return tuple(steps)
 
 
 def christoffel(g_inv, d_g):

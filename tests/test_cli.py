@@ -372,6 +372,16 @@ def test_non_finite_literal_is_a_named_error(tmp_path, capsys):
                                   "phi[0][1]", "1e400")
 
 
+def test_deeply_nested_component_is_a_named_error(tmp_path, capsys):
+    # 2 000 nested parentheses ended in a RecursionError traceback
+    data = json.loads(bundled_path("sasakian_r3").read_text())
+    data["phi"][0][1] = "(" * 2000 + "y" + ")" * 2000
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(data))
+    _assert_named_usage_error(run("check", str(path), *FAST), capsys,
+                              "phi[0][1]", "nested deeper than 100 levels")
+
+
 def test_deform_factor_whose_reciprocal_overflows_is_a_named_error(tmp_path, capsys):
     # 1 / 1e-320 overflows to inf while the deformed Q is folded
     for inverse in ((), ("--inverse",)):
@@ -388,6 +398,15 @@ def test_non_finite_deform_factor_is_a_usage_error(tmp_path, capsys):
             code = run("deform", R3, *(x for kv in factors.items() for x in kv),
                        "-o", str(tmp_path / "d.json"), *FAST)
             _assert_named_usage_error(code, capsys, f"argument {flag}", value)
+
+
+def test_non_finite_product_nu_is_a_usage_error(tmp_path, capsys):
+    plane = _plane_file(tmp_path, [["0", "-2"], ["2", "0"]], [["1", "0"], ["0", "1"]])
+    for value in ("nan", "inf"):
+        code = run("product", "--phitilde", plane, "--nu", value,
+                   "-o", str(tmp_path / "p.json"), *FAST)
+        _assert_named_usage_error(code, capsys, "argument --nu", value)
+    assert not (tmp_path / "p.json").exists()
 
 
 def test_tolerance_must_be_finite_and_non_negative(capsys):

@@ -1,11 +1,13 @@
-"""Planned contraction paths for the multi-operand einsums of the block engine.
+"""Planned contractions of the block engine, and the test-vector reducer.
 
-`structure.einsum` contracts 2 or more operands pairwise along numpy's
-greedy path, planned once per subscripts and operand shapes.  Its sums run
-in another order than plain `np.einsum`'s single loop nest, so the results
-are compared within a bound set by float64 rounding: 1e-13 of the sum of
-the absolute values of the terms.  One operand, and every validation row,
-stays on plain `np.einsum`.
+`structure.einsum` runs 2 or more operands as a step program planned once
+per subscripts and operand shapes: numpy's greedy pairwise path, each pair
+one batched matmul or broadcast multiply.  `Session.sup_contracted` reduces
+a residual with one batched matmul and a per-tuple contraction per further
+slot.  Both sum in another order than plain `np.einsum`'s single loop nest,
+so the results are compared within a bound set by float64 rounding: 1e-13
+of the sum of the absolute values of the terms.  One operand, and every
+validation row, stays on plain `np.einsum`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import pytest
 
 from conftest import FAST_PLAN, TOL
 from wact import structure as st
-from wact.classify import Session, verify
+from wact.chart import SamplePlan
+from wact.classify import RESIDUALS, Session, verify
 from wact.cli import main
 from wact.fileio import bundled_names, bundled_path, load_bundled
 from wact.structure import validate
@@ -46,11 +49,11 @@ def _contractions(monkeypatch) -> set:
 def test_planned_contractions_match_plain_einsum(monkeypatch):
     seen = {(sub, shapes) for sub, shapes in _contractions(monkeypatch) if len(shapes) >= 2}
     subscripts = {sub for sub, _ in seen}
-    # the costliest contractions of N5, the master identity and the reducer,
-    # and two-operand ones of Phi, the Christoffel symbols and nabla(phi)
+    # the costliest contractions of N5 and the N5 pairing, and two-operand
+    # ones of Phi, the Christoffel symbols and nabla(phi)
     assert {"...mbc,...mn,...na->...abc", "...abc,...aj,...b,...ck->...jk",
-            "...abc,...ta,...tb,...tc->...t", "...ia,...aj->...ij",
-            "...kl,...ijl->...kij", "...ika,...aj->...ijk"} <= subscripts
+            "...ia,...aj->...ij", "...kl,...ijl->...kij",
+            "...ika,...aj->...ijk"} <= subscripts
     rng = np.random.default_rng(17)
     for sub, shapes in sorted(seen):
         assert all(shape[0] == FAST_PLAN.count for shape in shapes), (sub, shapes)
@@ -61,6 +64,74 @@ def test_planned_contractions_match_plain_einsum(monkeypatch):
             scale = np.einsum(sub, *map(np.abs, operands))
             assert planned.shape == plain.shape, (sub, points)
             assert np.all(np.abs(planned - plain) <= 1e-13 * scale), (sub, points)
+
+
+@pytest.mark.parametrize("subscripts, shapes", [
+    ("...ak,...n->...ank", [(7, 3, 3), (7, 3)]),    # an outer-product step
+    ("...ak,...n->...an", [(7, 3, 4), (7, 5)]),     # ... summing k away first
+    ("...ab,...bc->...a", [(7, 3, 4), (7, 4, 5)]),  # c summed in one operand only
+    ("...bc,...ab->...a", [(7, 4, 5), (7, 3, 4)]),  # ... the other operand
+    ("...ia,...aj->...ij", [(3, 4), (4, 5)]),       # one point, no leading axis
+    ("...abc,...aj,...b,...ck->...jk", [(7, 5, 5, 5), (7, 5, 4), (7, 5), (7, 5, 3)]),
+    ("...a,...b,...c->...abc", [(7, 3), (7, 4), (7, 5)]),  # one step of 3 terms
+])
+def test_step_program_edge_cases_match_plain_einsum(subscripts, shapes):
+    rng = np.random.default_rng(11)
+    operands = [rng.standard_normal(shape) for shape in shapes]
+    planned = st.einsum(subscripts, *operands)
+    plain = np.einsum(subscripts, *operands)
+    scale = np.einsum(subscripts, *map(np.abs, operands))
+    assert planned.shape == plain.shape
+    assert np.all(np.abs(planned - plain) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("subscripts, shapes", [
+    ("...aa,...a->...a", ((7, 3, 3), (7, 3))),  # an index repeated within one operand
+    ("...ab,...b->...a", ((7, 3, 3), (3,))),    # leading point axes that differ
+])
+def test_uncovered_subscripts_raise_when_planned(subscripts, shapes):
+    with pytest.raises(ValueError):
+        st._contraction_path(subscripts, shapes)
+
+
+CONTRACTED = {2: "...ab,...ta,...tb->...t", 3: "...abc,...ta,...tb,...tc->...t"}
+
+
+@pytest.mark.parametrize("points", [1, 37, 1024])
+def test_contracted_reducer_matches_plain_einsum(points):
+    plan = SamplePlan(points, FAST_PLAN.seed, FAST_PLAN.margin)
+    contracted = {key: spec for key, spec in RESIDUALS.items() if spec[1]}
+    for name in VALID:
+        report = validate(load_bundled(name), plan, 1e-8).raise_for_violations()
+        ses = Session(report.structure, plan, TOL, jets=report.jets)
+        for key, (fn, slots) in contracted.items():
+            residual = np.concatenate([fn(j) for j in ses.jets])
+            vectors = [ses.vectors[:, :, k] for k in range(slots)]
+            plain = np.einsum(CONTRACTED[slots], residual, *vectors)
+            scale = np.einsum(CONTRACTED[slots], np.abs(residual), *map(np.abs, vectors))
+            assert (abs(ses.sup_contracted(fn, slots) - np.max(np.abs(plain)))
+                    <= 1e-13 * np.max(scale)), (name, key, points)
+
+
+def test_residuals_reach_neither_numpys_planner_nor_its_multi_operand_loop(monkeypatch):
+    # after validation, no residual key may contract through `np.einsum`'s
+    # per-call path planner (`optimize`) or its single loop over 3 or more
+    # operands; two operands without a plan (`matvec`, the reducer's
+    # per-tuple slot) stay plain `np.einsum`
+    reports = [validate(load_bundled(name), FAST_PLAN, 1e-8).raise_for_violations()
+               for name in ("sasakian_r5", "product_cosymplectic")]
+    plain = np.einsum
+
+    def refuse(subscripts, *operands, **kwargs):
+        if len(operands) >= 3 or (len(operands) >= 2 and kwargs.get("optimize")):
+            raise AssertionError(f"np.einsum contracted {subscripts}")
+        return plain(subscripts, *operands, **kwargs)
+    monkeypatch.setattr(np, "einsum", refuse)
+    for report in reports:
+        ses = Session(report.structure, FAST_PLAN, TOL, jets=report.jets,
+                      per_point=report.per_point)
+        for key in RESIDUALS:
+            assert ses.residual(key) >= 0.0, key
 
 
 def test_one_operand_calls_are_plain_einsum(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from wact.chart import CounterStream
 from wact.dual import Dual
 from wact.errors import DomainError, ParseError, UnknownSymbolError
-from wact.expr import parse
+from wact.expr import MAX_NESTING, parse
 
 XYZ = ("x", "y", "z")
 
@@ -309,3 +309,14 @@ def test_non_finite_constants_are_rejected():
     for fold in folds:
         with pytest.raises(ValueError, match="not finite"):
             fold()
+
+
+@pytest.mark.parametrize("opening, closing, levels", [
+    ("(", ")", 1), ("-", "", 1), ("sin(", ")", 1), ("y^", "", 1), ("-(", ")", 2),
+])
+def test_nesting_beyond_the_cap_is_a_parse_error(opening, closing, levels):
+    # each `opening` nests `levels` levels: parentheses, unary minus, calls, powers
+    units = MAX_NESTING // levels
+    assert parse(opening * units + "y" + closing * units, XYZ)
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING} levels"):
+        parse(opening * (units + 1) + "y" + closing * (units + 1), XYZ)
