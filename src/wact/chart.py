@@ -7,6 +7,7 @@ order-independent and parallelizable, and identical across platforms.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -82,6 +83,9 @@ class BaseChart:
         for name, lo, hi in zip(names, self.lows, self.highs):
             if not lo < hi:
                 raise ValueError(f"empty domain [{lo}, {hi}] for coordinate {name!r}")
+            if not math.isfinite(hi - lo):  # an infinite bound or width samples NaN
+                raise ValueError(f"domain [{lo}, {hi}] of coordinate {name!r} "
+                                 "needs finite bounds and a finite width")
 
     @classmethod
     def make(cls, coords, domain):

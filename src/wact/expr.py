@@ -17,11 +17,18 @@ float (1e400) is a ParseError, and a constant folded by the `make_*`
 constructors must be finite, so no expression holds an infinite constant.
 Parentheses, unary minus, function calls and powers may nest at most
 MAX_NESTING levels deep; deeper input is a ParseError, not a recursion error.
+A chain of + and - (or of * and /) is not nesting: it compiles to one closure
+that folds its terms left to right and prints by a loop, so it may be of any
+length.  An expression whose AST holds no coordinate is `passive`: its
+derivatives are zero, so field jets evaluate it once as a float, without
+dual numbers, and the text of a failed finiteness check is built only on
+failure.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -237,21 +244,72 @@ class _Parser:
 # Compilation to closures (single evaluation path for floats and duals)
 # --------------------------------------------------------------------------
 
+_FOLD_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _chain(node: Bin):
+    """First term and operator links, left to right, of the chain of `node`'s class.
+
+    The parser builds `a + b - c` (and `a * b / c`) as a left-leaning spine by
+    a loop, so a chain may be far longer than any nesting; it is walked here
+    without recursion.
+    """
+    ops = ("+", "-") if node.op in ("+", "-") else ("*", "/")
+    links = []
+    while isinstance(node, Bin) and node.op in ops:
+        links.append(node)
+        node = node.left
+    links.reverse()
+    return node, links
+
+
+def _divisor(f, pos: int):
+    message = f"division by zero at position {pos}"
+
+    def divisor(env):
+        value = f(env)
+        dm.check(dm.real_part(value) == 0.0, message)
+        return value
+    return divisor
+
+
+def _fold(first, steps, divisors):
+    """Closure folding `first` and each (operator, closure) step left to right.
+
+    A divisor step has no closure: its value comes from `divisors`, checked
+    closures listed last first.  A quotient evaluates and checks its divisor
+    before its dividend, so every divisor of a chain runs, last first, before
+    the chain's first term, as in the nested quotients the chain stands for.
+    """
+    if not divisors and len(steps) == 1:
+        (op, f), = steps
+        return lambda env: op(first(env), f(env))
+
+    def fold(env):
+        quotients = [d(env) for d in divisors]
+        acc = first(env)
+        for op, f in steps:
+            acc = op(acc, quotients.pop() if f is None else f(env))
+        return acc
+    return fold
+
+
 def _compile(node):
+    """(closure, whether the node mentions a coordinate)."""
     if isinstance(node, Num):
         v = node.value
-        return lambda env: v
+        return (lambda env: v), False
     if isinstance(node, Coord):
         i = node.index
-        return lambda env: env[i]
+        return (lambda env: env[i]), True
     if isinstance(node, Const):
         v = CONSTANTS[node.name]
-        return lambda env: v
+        return (lambda env: v), False
     if isinstance(node, Unary):
-        f = _compile(node.arg)
-        return lambda env: -f(env)
+        f, active = _compile(node.arg)
+        return (lambda env: -f(env)), active
     if isinstance(node, Call):
-        f = _compile(node.arg)
+        f, active = _compile(node.arg)
         fn = _FUNC_IMPL[node.fn]
         name, pos = node.fn, node.pos
         def call(env):
@@ -260,35 +318,33 @@ def _compile(node):
             except DomainError as err:
                 raise DomainError(f"{err} in '{name}' at position {pos}",
                                   err.index) from None
-        return call
-    # binary
-    lf = _compile(node.left)
-    rf = _compile(node.right)
-    op, pos = node.op, node.pos
-    if op == "+":
-        return lambda env: lf(env) + rf(env)
-    if op == "-":
-        return lambda env: lf(env) - rf(env)
-    if op == "*":
-        return lambda env: lf(env) * rf(env)
-    if op == "/":
-        def div(env):
-            denominator = rf(env)
-            dm.check(dm.real_part(denominator) == 0.0,
-                     f"division by zero at position {pos}")
-            return lf(env) / denominator
-        return div
-    if op == "^":
+        return call, active
+    if node.op == "^":
+        lf, active = _compile(node.left)
         if isinstance(node.right, Num) and float(node.right.value).is_integer():
             n = int(node.right.value)
-            return lambda env: dm.ipow(lf(env), n)
+            return (lambda env: dm.ipow(lf(env), n)), active
+        rf, right_active = _compile(node.right)
+        pos = node.pos
         def power(env):
             try:
                 return dm.rpow(lf(env), rf(env))
             except DomainError as err:
                 raise DomainError(f"{err} at position {pos}", err.index) from None
-        return power
-    raise AssertionError(f"unreachable operator {op!r}")
+        return power, active or right_active
+    if node.op not in _FOLD_OPS:
+        raise AssertionError(f"unreachable operator {node.op!r}")
+    first, links = _chain(node)
+    f0, active = _compile(first)
+    steps, divisors = [], []
+    for link in links:
+        f, right_active = _compile(link.right)
+        active = active or right_active
+        if link.op == "/":
+            divisors.append(_divisor(f, link.pos))
+            f = None
+        steps.append((_FOLD_OPS[link.op], f))
+    return _fold(f0, steps, divisors[::-1]), active
 
 
 # --------------------------------------------------------------------------
@@ -322,23 +378,25 @@ def _fmt(node) -> tuple[str, int]:
         if prec < _UNARY_PREC:
             text = f"({text})"
         return f"-{text}", _UNARY_PREC
-    # binary
     my = _PREC[node.op]
+    if node.op != "^":
+        first, links = _chain(node)
+        text, prec = _fmt(first)
+        parts = [f"({text})" if prec < my else text]
+        for link in links:
+            # left-associative: parenthesize an equal-precedence right side
+            rt, rp = _fmt(link.right)
+            if rp <= my or rt.startswith("-"):
+                rt = f"({rt})"
+            parts.append(link.op + rt)
+        return "".join(parts), my
     lt, lp = _fmt(node.left)
     rt, rp = _fmt(node.right)
-    if node.op == "^":
-        if lp <= my:  # right-associative: parenthesize equal-precedence left side
-            lt = f"({lt})"
-        if rp < my:
-            rt = f"({rt})"
-    else:
-        if lp < my:
-            lt = f"({lt})"
-        if rp <= my:  # left-associative: parenthesize equal-precedence right side
-            rt = f"({rt})"
-    if rt.startswith("-"):
+    if lp <= my:  # right-associative: parenthesize equal-precedence left side
+        lt = f"({lt})"
+    if rp < my or rt.startswith("-"):
         rt = f"({rt})"
-    return f"{lt}{node.op}{rt}", my
+    return f"{lt}^{rt}", my
 
 
 # --------------------------------------------------------------------------
@@ -352,12 +410,13 @@ class ScalarExpr:
     point gives a bit-identical result).
     """
 
-    __slots__ = ("node", "coords", "_fn", "_src")
+    __slots__ = ("node", "coords", "passive", "_fn", "_src")
 
     def __init__(self, node, coords):
         self.node = node
         self.coords = tuple(coords)
-        self._fn = _compile(node)
+        self._fn, active = _compile(node)
+        self.passive = not active  # no Coord in the AST: every derivative is zero
         self._src = None
 
     # -- evaluation ---------------------------------------------------------
@@ -368,12 +427,7 @@ class ScalarExpr:
     # offending point of the block.
 
     def _points(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        dim = len(self.coords)
-        if pts.ndim not in (1, 2) or pts.shape[-1] != dim:
-            raise ValueError(
-                f"point has {pts.shape[-1] if pts.ndim else 0} entries, chart has {dim}")
-        return pts
+        return as_points(points, len(self.coords))
 
     def _run(self, env):
         with np.errstate(all="ignore"):  # overflow is caught by the finiteness checks
@@ -398,8 +452,21 @@ class ScalarExpr:
         if not isinstance(out, dm.Dual):
             out = dm.Dual(np.full(shape, float(out))[()], np.zeros((dim,) + shape))
         bad = ~(np.isfinite(out.val) & np.isfinite(out.d).all(axis=0))
-        dm.check(bad, f"non-finite derivative in '{self}'")
+        if np.any(bad):
+            dm.check(bad, f"non-finite derivative in '{self}'")
         return out
+
+    def passive_value(self, block: bool, order: int = 1) -> float:
+        """Value of an expression without coordinates, from its own closure.
+
+        A non-finite value raises the DomainError that `jet1` (order 1) or
+        `jet2` (order 2) raises for it, naming the first point of a block.
+        """
+        value = float(self._run(()))
+        if not math.isfinite(value):
+            what = "derivative" if order == 1 else "second derivative"
+            raise DomainError(f"non-finite {what} in '{self}'", 0 if block else None)
+        return value
 
     def jet1(self, points):
         """(value, gradient) with the derivative axis last."""
@@ -435,7 +502,8 @@ class ScalarExpr:
         hess = np.moveaxis(np.stack(rows), (0, 1), (-2, -1))
         bad = ~(np.isfinite(value) & np.isfinite(grad).all(axis=-1)
                 & np.isfinite(hess).all(axis=(-2, -1)))
-        dm.check(bad, f"non-finite second derivative in '{self}'")
+        if np.any(bad):
+            dm.check(bad, f"non-finite second derivative in '{self}'")
         return value[()], grad, hess
 
     # -- printing / identity --------------------------------------------------
@@ -458,6 +526,15 @@ class ScalarExpr:
 
     def __hash__(self):
         return hash((self.coords, self.to_source()))
+
+
+def as_points(points, dim: int) -> np.ndarray:
+    """One point, shape (dim,), or a block of points, shape (P, dim), as floats."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim not in (1, 2) or pts.shape[-1] != dim:
+        raise ValueError(
+            f"point has {pts.shape[-1] if pts.ndim else 0} entries, chart has {dim}")
+    return pts
 
 
 def _unit(dim: int, i: int, shape) -> np.ndarray:

@@ -41,14 +41,18 @@ def _expect(condition: bool, message: str):
         raise FileFormatError(message)
 
 
-def _parse_entry(source, coords, where: str):
-    try:
-        return ex.parse(str(source), coords)
-    except ParseError as err:
-        raise FileFormatError(f"{where}: {err}") from err
+def _parse_entry(source, coords, where: str, parsed: dict):
+    """The expression of `source`; `parsed` holds the sources of this load already parsed."""
+    text = str(source)
+    if text not in parsed:
+        try:
+            parsed[text] = ex.parse(text, coords)
+        except ParseError as err:
+            raise FileFormatError(f"{where}: {err}") from err
+    return parsed[text]
 
 
-def _parse_matrix(raw, dim: int, coords, key: str) -> np.ndarray:
+def _parse_matrix(raw, dim: int, coords, key: str, parsed: dict) -> np.ndarray:
     _expect(isinstance(raw, list) and len(raw) == dim,
             f"'{key}' must be a {dim}x{dim} matrix")
     out = np.empty((dim, dim), dtype=object)
@@ -56,16 +60,16 @@ def _parse_matrix(raw, dim: int, coords, key: str) -> np.ndarray:
         _expect(isinstance(row, list) and len(row) == dim,
                 f"'{key}' row {i} must have {dim} entries")
         for j, entry in enumerate(row):
-            out[i, j] = _parse_entry(entry, coords, f"{key}[{i}][{j}]")
+            out[i, j] = _parse_entry(entry, coords, f"{key}[{i}][{j}]", parsed)
     return out
 
 
-def _parse_vector(raw, dim: int, coords, key: str) -> np.ndarray:
+def _parse_vector(raw, dim: int, coords, key: str, parsed: dict) -> np.ndarray:
     _expect(isinstance(raw, list) and len(raw) == dim,
             f"'{key}' must have {dim} entries")
     out = np.empty(dim, dtype=object)
     for i, entry in enumerate(raw):
-        out[i] = _parse_entry(entry, coords, f"{key}[{i}]")
+        out[i] = _parse_entry(entry, coords, f"{key}[{i}]", parsed)
     return out
 
 
@@ -112,20 +116,23 @@ def structure_from_dict(data: dict, default_name: str = "structure") -> Structur
 
     # Metric symmetry: entries symmetric as written pass trivially; otherwise
     # the numeric metric_symmetric axiom judges them at the sample points.
-    metric = _parse_matrix(data["metric"], dim, chart.coords, "metric")
+    # Equal sources share one (immutable) expression.
+    parsed = {}
+    metric = _parse_matrix(data["metric"], dim, chart.coords, "metric", parsed)
 
-    phi = _parse_matrix(data["phi"], dim, chart.coords, "phi")
-    xi = _parse_vector(data["xi"], dim, chart.coords, "xi")
-    eta = _parse_vector(data["eta"], dim, chart.coords, "eta")
+    phi = _parse_matrix(data["phi"], dim, chart.coords, "phi", parsed)
+    xi = _parse_vector(data["xi"], dim, chart.coords, "xi", parsed)
+    eta = _parse_vector(data["eta"], dim, chart.coords, "eta", parsed)
 
     nu = data.get("nu")
     if nu is not None:
-        _expect(isinstance(nu, (int, float)) and nu > 0,
+        _expect(isinstance(nu, (int, float)) and not isinstance(nu, bool)
+                and math.isfinite(nu) and nu > 0,
                 f"'nu' must be a positive number, got {nu!r}")
         nu = float(nu)
 
     if "Q" in data and data["Q"] is not None:
-        q = _parse_matrix(data["Q"], dim, chart.coords, "Q")
+        q = _parse_matrix(data["Q"], dim, chart.coords, "Q", parsed)
     else:
         _expect(nu is not None,
                 "'Q' is omitted, so 'nu' is required to synthesize it")
@@ -220,8 +227,9 @@ def plane_from_dict(data: dict):
         raise FileFormatError(str(err)) from err
     for key in ("phi", "metric"):
         _expect(key in data, f"missing key '{key}'")
-    phi = _parse_matrix(data["phi"], dim, chart.coords, "phi")
-    metric = _parse_matrix(data["metric"], dim, chart.coords, "metric")
+    parsed = {}
+    phi = _parse_matrix(data["phi"], dim, chart.coords, "phi", parsed)
+    metric = _parse_matrix(data["metric"], dim, chart.coords, "metric", parsed)
     return (TensorField((1, 1), phi, chart), TensorField((0, 2), metric, chart))
 
 

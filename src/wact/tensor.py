@@ -12,7 +12,7 @@ import numpy as np
 
 from .chart import BaseChart
 from .errors import DomainError
-from .expr import ScalarExpr, parse
+from .expr import ScalarExpr, as_points, parse
 
 
 @dataclass(frozen=True)
@@ -100,38 +100,36 @@ class TensorField:
 
         Block results carry the point axis first; the derivative axis is
         appended last.  A DomainError names the field, the component and the
-        first offending point.
+        first offending point.  Each distinct component object is evaluated
+        once, and one without a coordinate as a float with zero derivatives.
         """
-        pts = np.asarray(points, dtype=float)
-        lead = pts.shape[:-1]
-        val = np.empty(lead + self.comps.shape)
-        grad = np.empty(lead + self.comps.shape + (self.chart.dim,))
-        for idx in np.ndindex(self.comps.shape):
-            try:
-                v, d = self.comps[idx].jet1(pts)
-            except DomainError as err:
-                raise _located(err, name, idx, pts) from None
-            val[(...,) + idx] = v
-            grad[(...,) + idx + (slice(None),)] = d
-        return val, grad
+        return self._jets(points, name, 1)
 
     def jet2(self, points, name: str = "field"):
         """(values, gradients, hessians); hessian axes appended last."""
-        pts = np.asarray(points, dtype=float)
-        lead = pts.shape[:-1]
+        return self._jets(points, name, 2)
+
+    def _jets(self, points, name: str, order: int):
+        pts = as_points(points, self.chart.dim)
+        shape = pts.shape[:-1] + self.comps.shape
         dim = self.chart.dim
-        val = np.empty(lead + self.comps.shape)
-        grad = np.empty(lead + self.comps.shape + (dim,))
-        hess = np.empty(lead + self.comps.shape + (dim, dim))
+        outs = [np.empty(shape)] + [np.zeros(shape + (dim,) * k) for k in range(1, order + 1)]
+        done = {}
         for idx in np.ndindex(self.comps.shape):
-            try:
-                v, d, h = self.comps[idx].jet2(pts)
-            except DomainError as err:
-                raise _located(err, name, idx, pts) from None
-            val[(...,) + idx] = v
-            grad[(...,) + idx + (slice(None),)] = d
-            hess[(...,) + idx + (slice(None), slice(None))] = h
-        return val, grad, hess
+            comp = self.comps[idx]
+            parts = done.get(id(comp))
+            if parts is None:
+                try:
+                    if comp.passive:
+                        parts = (comp.passive_value(pts.ndim == 2, order),)
+                    else:
+                        parts = comp.jet1(pts) if order == 1 else comp.jet2(pts)
+                except DomainError as err:
+                    raise _located(err, name, idx, pts) from None
+                done[id(comp)] = parts
+            for k, part in enumerate(parts):
+                outs[k][(...,) + idx + (slice(None),) * k] = part
+        return tuple(outs)
 
     def evaluate(self, point) -> TensorValue:
         return TensorValue(self.valence[0], self.valence[1], self.values(point))

@@ -30,6 +30,19 @@ def test_chart_rejects_bad_domains_and_names():
         Chart(("x", "2y", "z"), (-1, -1, -1), (1, 1, 1))
 
 
+@pytest.mark.parametrize("lo, hi", [
+    (-1.0, float("inf")), (float("-inf"), 1.0), (-1e308, 1e308), (-1.7e308, 0.5e308),
+])
+def test_chart_rejects_infinite_bounds_and_widths(lo, hi):
+    # an infinite bound or width sampled NaN points, and `check` said VALID
+    for cls, names in ((Chart, ("x", "y", "z")), (BaseChart, ("x", "y"))):
+        lows, highs = [-1.0] * len(names), [1.0] * len(names)
+        lows[1], highs[1] = lo, hi
+        with pytest.raises(ValueError, match="'y' needs finite bounds and a finite width"):
+            cls(names, tuple(lows), tuple(highs))
+    assert np.isfinite(sample(Chart(("x", "y", "z"), (-1e307,) * 3, (1e307,) * 3))).all()
+
+
 def test_chart_make_from_domain_map():
     c = Chart.make(["x", "y", "z"], {"x": (-1, 1), "y": (0, 2), "z": (-3, -1)})
     assert c.domain == ((-1.0, 1.0), (0.0, 2.0), (-3.0, -1.0))

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from wact import calculus, structure
 from wact.cli import main
@@ -417,3 +418,35 @@ def test_tolerance_must_be_finite_and_non_negative(capsys):
             path = str(bundled_path("broken_compatibility")) if value == "inf" else R3
             _assert_named_usage_error(run(command, path, f"--tol={value}", *FAST), capsys,
                                       "argument --tol", value)
+
+
+def test_infinite_domain_is_a_named_error(tmp_path, capsys):
+    # [-1, 1e999] sampled NaN points and `check` said VALID; a width of 2e308 overflowed
+    for lo, hi in (("-1", "1e999"), ("-1e308", "1e308")):
+        text = bundled_path("sasakian_r3").read_text()
+        data = json.loads(text)
+        data["domain"]["x"] = ["LO", "HI"]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(data).replace('"LO"', lo).replace('"HI"', hi))
+        for command in ("check", "verify"):
+            _assert_named_usage_error(run(command, str(path), *FAST), capsys,
+                                      "coordinate 'x'", "finite bounds")
+
+
+@pytest.mark.parametrize("terms", [1000, 10000])
+def test_long_flat_chains_end_without_a_traceback(tmp_path, capsys, terms):
+    # a component `x+x+...` of 1 000 terms ended in a RecursionError
+    data = json.loads(bundled_path("sasakian_r3").read_text())
+    data["xi"][0] = "+".join(["x-x"] * (terms // 2))
+    data["phi"][1][1] = "*".join(["y"] * terms) + "/(x-x)"
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(data))
+    for command in ("check", "classify", "verify"):
+        assert run(command, str(path), *FAST) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"DomainError: phi[1][1]: division by zero at position {2 * terms - 1} at")
+    data["phi"][1][1] = "0*" + data["phi"][1][1][:-6]
+    path.write_text(json.dumps(data))
+    for command in ("check", "classify", "verify"):
+        assert run(command, str(path), *FAST) == 0
+        assert "Traceback" not in capsys.readouterr().err

@@ -320,3 +320,77 @@ def test_nesting_beyond_the_cap_is_a_parse_error(opening, closing, levels):
     assert parse(opening * units + "y" + closing * units, XYZ)
     with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING} levels"):
         parse(opening * (units + 1) + "y" + closing * (units + 1), XYZ)
+
+
+# -- flat chains ----------------------------------------------------------------
+
+def _nested_eval(node, env):
+    """Reference evaluator: one recursive step per node, divisor before dividend."""
+    from wact import dual as dm
+    from wact import expr as ex
+    if isinstance(node, ex.Bin) and node.op in "+-*":
+        left, right = _nested_eval(node.left, env), _nested_eval(node.right, env)
+        return {"+": left + right, "-": left - right, "*": left * right}[node.op]
+    if isinstance(node, ex.Bin) and node.op == "/":
+        denominator = _nested_eval(node.right, env)
+        dm.check(dm.real_part(denominator) == 0.0,
+                 f"division by zero at position {node.pos}")
+        return _nested_eval(node.left, env) / denominator
+    return ex.ScalarExpr(node, XYZ)._fn(env)
+
+
+def test_chains_fold_bit_identically_to_nested_evaluation():
+    from wact.dual import Dual
+    import numpy as np
+    stream = CounterStream(2718, stream=3)
+    pts = np.array([[0.3 + 0.5 * stream.u01(3 * k + j) for j in range(3)] for k in range(16)])
+    env = [Dual(pts[:, i], np.eye(3)[i][:, None] * np.ones(16)) for i in range(3)]
+    counter = 0
+    for _ in range(40):
+        terms = []
+        for _ in range(2 + int(20 * stream.u01(counter))):
+            op = "+-*/"[int(4 * stream.u01(counter + 1)) % 4]
+            atom = ("x", "y", "z", "sin(x)", f"{0.5 + stream.u01(counter + 2):.4f}",
+                    "(x*y-z)", "(1+z/y)")[int(7 * stream.u01(counter + 3)) % 7]
+            terms.append(op + atom)
+            counter += 4
+        source = terms[0][1:] + "".join(terms[1:])
+        e = parse(source, XYZ)
+        got, want = e._fn(env), _nested_eval(e.node, env)
+        assert np.array_equal(got.val, want.val) and np.array_equal(got.d, want.d), source
+
+
+@pytest.mark.parametrize("source, message", [
+    # a quotient evaluates its divisor first, so the last divisor of a chain fails first
+    ("log(x-x)*2/(y-y)", "division by zero at position 10"),
+    ("1/(y-y)/log(x-x)", "log of non-positive value in 'log' at position 8"),
+    ("2/(x-x)*log(y-y)/(z-z)", "division by zero at position 16"),
+    ("x/(y-y)/(x-x)", "division by zero at position 7"),
+    ("log(x-x)+1/(y-y)", "log of non-positive value in 'log' at position 0"),
+])
+def test_chain_errors_come_in_nested_order(source, message):
+    e = parse(source, XYZ)
+    for pts in ([0.1, 0.2, 0.3], [[0.1, 0.2, 0.3], [0.3, 0.4, 0.5]]):
+        with pytest.raises(DomainError) as err:
+            e.jet1(pts)
+        assert err.value.message == message
+
+
+@pytest.mark.parametrize("terms", [1000, 10000])
+def test_long_flat_chains_parse_evaluate_and_print(terms):
+    # a chain of 1 000 terms ended in a RecursionError
+    p = (0.25, 0.5, 0.75)
+    total = parse("+".join(["x"] * terms), XYZ)
+    assert total.evaluate(p) == float(terms) * 0.25
+    assert total.to_source() == "+".join(["x"] * terms)
+    mixed = parse("-".join(["y"] * terms) + "*x/z", XYZ)
+    assert mixed.to_source() == "-".join(["y"] * terms) + "*x/z"
+    value, grad, hess = mixed.jet2(p)
+    expected = 0.5
+    for _ in range(terms - 2):
+        expected -= 0.5
+    assert value == expected - 0.5 * 0.25 / 0.75
+    assert grad[1] == (1.0 - (terms - 2)) - 0.25 / 0.75 and hess.shape == (3, 3)
+    product = parse("*".join(["y"] * terms), XYZ)
+    assert product.evaluate(p) == 0.5 ** terms and product.jet1(p)[0] == 0.5 ** terms
+    assert not total.passive and parse("+".join(["1"] * terms), XYZ).passive

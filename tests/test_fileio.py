@@ -155,3 +155,34 @@ def test_every_bundled_file_parses():
     for name in bundled_names():
         s = load_bundled(name)
         assert s.chart.dim in (3, 5)
+
+
+def test_canonical_text_of_bundled_and_deformed_files_is_unchanged():
+    # sha256 of the reprinted files; flat chains are printed without recursion now
+    import hashlib
+    from wact.chart import SamplePlan
+    from wact.deform import DeformParams, deform, extract_sasakian
+    from wact.fileio import dump_json
+    bundled = hashlib.sha256()
+    for name in bundled_names():
+        bundled.update(dump_json(structure_to_dict(load_bundled(name))).encode())
+    assert bundled.hexdigest() == (
+        "c2dc2d9682db8e9f3b637aad2b81e82d641ae2852e793e5ddb0bafb37428a1d9")
+    plan = SamplePlan(count=100, seed=42, margin=0.05)
+    r3 = validate(load_bundled("sasakian_r3"), plan, 1e-8).structure
+    weak = deform(r3, DeformParams(2.0, 2.0), "inverse", plan, 1e-8)
+    classical = extract_sasakian(validate(weak, plan, 1e-8).structure, plan, 1e-8)
+    r5 = validate(load_bundled("sasakian_r5"), plan, 1e-8).structure
+    weak5 = deform(r5, DeformParams(3.0, 0.5), "forward", plan, 1e-8)
+    deformed = hashlib.sha256()
+    for s in (weak, classical, weak5):
+        deformed.update(dump_json(structure_to_dict(s)).encode())
+    assert deformed.hexdigest() == (
+        "b20a207ea337180990a7525990263c1a3e2cb5a2fdbf90a7252aabefcef37ce4")
+
+
+@pytest.mark.parametrize("nu", [True, False, float("inf")])
+def test_nu_must_be_a_finite_number_not_a_boolean(nu):
+    # "nu": true read as 1.0
+    with pytest.raises(FileFormatError, match="'nu' must be a positive number"):
+        structure_from_dict(minimal_dict(nu=nu))
