@@ -1,14 +1,10 @@
-"""Classification flags and the named residual-check registry, as tables.
+"""Classification flags and the named residual checks, as tables over one Session.
 
-`RESIDUALS` maps each residual key to a function of a block jet and to how
-its array is reduced: componentwise (the sup of |entries| over the sample
-points) or contracted over 2 or 3 slots with 5 deterministic test-vector
-tuples per point (the sup over points and tuples): the first slot by one
-batched matmul over the points, each further slot by one per-tuple
-contraction, with no array beyond (points, tuples, dim^2).  `Session.residual`
-reduces each key once per Session.  A flag in `FLAGS` is the worst of its
-keys.  A check in `CHECKS` is one row: claim, hypothesis keys, implications
-and detail keys, and `Check.run` turns it into a `CheckResult`.
+Every residual is a key of `structure.RESIDUALS`, and `structure.Session`
+reduces each key once per run: the validation rows inside `validate`, the
+flags and checks here, over the same block jets.  A flag in `FLAGS` is the
+worst of its keys.  A check in `CHECKS` is one row: claim, hypothesis keys,
+implications and detail keys, and `Check.run` turns it into a `CheckResult`.
 Equivalences are split into one-directional implications: a direction whose
 hypothesis residual exceeds the tolerance is reported as n/a, and a satisfied
 hypothesis must push the conclusion residual below 10x the tolerance.  An
@@ -19,181 +15,15 @@ tolerance itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from . import structure as st
-from .chart import DEFAULT_PLAN, SamplePlan, sample, sample_vectors
+from .chart import DEFAULT_PLAN, SamplePlan
 from .errors import UnknownCheckIdError
-from .runtime import parallel_map
-from .structure import Structure
+from .structure import DEFAULT_TOL, FLAGS, RESIDUALS, Session, Structure, sup_at
 
 IMPLICATION_FACTOR = 10.0
-
-_TUPLES_PER_POINT = 5
-_SLOTS = 3
-
-
-def _worst(*values) -> float:
-    """Largest residual; a NaN is the worst value and is never dropped."""
-    return st.sup_at(values)[1]
-
-
-def _antisymmetric_part(m):
-    return 0.5 * (m - st.transpose(m))
-
-
-# key -> (function of a block jet, test-vector slots contracted; 0 = componentwise)
-RESIDUALS = {
-    "phi_square": (st._res_phi_square, 0),
-    "eta_xi": (st._res_eta_xi, 0),
-    "q_xi_alignment": (st._res_q_xi_alignment, 0),
-    "phi_invariant": (st._res_phi_invariant, 0),
-    "compatibility": (st._res_compatibility, 0),
-    "contact": (lambda j: j.Phi - j.dEta, 0),
-    "killing": (lambda j: j.lie_xi_g, 0),
-    "n1": (lambda j: j.N1, 0),
-    "d_eta": (lambda j: j.dEta, 0),
-    "d_phi": (lambda j: j.dPhi, 0),
-    "nabla_phi": (lambda j: j.nabla_phi, 0),
-    "n2": (lambda j: j.N2, 0),
-    "n3": (lambda j: j.N3, 0),
-    "n4": (lambda j: j.N4, 0),
-    "n5": (lambda j: j.N5, 0),
-    "n1_torsion": (lambda j: j.N1 - j.nijenhuis_phi, 0),
-    "nabla_xi_xi": (lambda j: j.nabla_xi_xi, 0),
-    "iota_xi_d_eta": (lambda j: st.matvec(j.dEta, j.xi), 0),
-    "lie_xi_eta": (lambda j: j.lie_xi_eta, 0),
-    "lie_xi_d_eta": (lambda j: j.lie_xi_dEta, 0),
-    "h_xi": (lambda j: st.matvec(j.h, j.xi), 0),
-    "q_is_nu_on_D": (lambda j: (j.Q @ j.projector) - j.nu * j.projector, 0),
-    "n2_reduction": (lambda j: j.n2_reduction, 2),
-    # the stated reduction is not antisymmetric for nu != 1: its symmetric
-    # part, and the nu-weighted variant that is, are reported beside it
-    "n2_reduction_antisymmetrized": (lambda j: _antisymmetric_part(j.n2_reduction), 2),
-    "n2_reduction_nu_weighted": (st.n2_reduction_residual_nu_weighted, 2),
-    "master_identity": (st.master_identity_residual, 3),
-    "contact_reduction": (st.contact_identity_residual, 3),
-    "xi_direction": (st.xi_direction_identity_residual, 2),
-    "h_adjoint_defect": (st.h_adjoint_identity_residual, 2),
-    "h_anticommutator_defect": (st.h_anticommutator_identity_residual, 2),
-    "q_weighted_nabla_xi": (st.q_nabla_xi_identity_residual, 2),
-    "n5_pairing": (st.b_phi_identity_residual, 2),
-    "sasakian_nabla_phi": (st.sasakian_nabla_phi_residual, 3),
-    "cosymplectic_nabla_phi": (st.cosymplectic_nabla_phi_residual, 3),
-    "cosymplectic_d_phi": (st.cosymplectic_dphi_residual, 3),
-    "cosymplectic_torsion": (st.cosymplectic_torsion_residual, 3),
-}
-
-# flag -> the residual keys it takes the worst of
-FLAGS = {
-    "weak_almost_contact_metric":
-        ("phi_square", "eta_xi", "q_xi_alignment", "phi_invariant", "compatibility"),
-    "weak_contact_metric": ("contact",),
-    "weak_K_contact": ("killing",),
-    "normal": ("n1",),
-    "weak_Sasakian": ("n1", "contact"),
-    "weak_almost_cosymplectic": ("d_eta", "d_phi"),
-    "weak_cosymplectic": ("d_eta", "d_phi", "n1"),
-    "phi_parallel": ("nabla_phi",),
-}
-
-
-class Session:
-    """Shared per-run cache: sample points, block jets, test vectors, sups.
-
-    `jets` and `per_point` may be handed over from `validate` over the same
-    plan, so the field jets are evaluated once per run and a residual that
-    validation already computed at every point is not computed again.
-    """
-
-    def __init__(self, s: Structure, plan: SamplePlan = DEFAULT_PLAN,
-                 tol: float = st.DEFAULT_TOL, jets=None, per_point=None):
-        if s.nu is None:
-            raise ValueError("structure must be validated (nu resolved) before analysis")
-        self.structure = s
-        self.plan = plan
-        self.tol = tol
-        self.points = sample(s.chart, plan)
-        self._sups = {}
-        self._per_point = per_point or {}
-        if jets is not None:
-            self.jets = list(jets)
-
-    @cached_property
-    def jets(self) -> list:
-        """One StructureJet per block of sample points."""
-        return st.block_jets(self.structure, self.points)
-
-    @cached_property
-    def vectors(self) -> np.ndarray:
-        """Shape (points, tuples, slots, dim), components in [-1, 1]."""
-        dim = self.structure.chart.dim
-        return sample_vectors(self.plan, np.arange(len(self.points)),
-                              _TUPLES_PER_POINT, _SLOTS, dim)
-
-    # -- residual reducers -----------------------------------------------------
-
-    def sup_pointwise(self, fn) -> float:
-        """Sup over points of a componentwise-residual function of the jet."""
-        return _worst(*parallel_map(lambda j: np.max(np.abs(fn(j))), self.jets))
-
-    def sup_contracted(self, fn, slots: int) -> float:
-        """Sup over points and vector tuples of a contracted residual tensor.
-
-        The first slot is one batched matmul over the points, (tuples, dim) @
-        (dim, dim^(slots-1)); each later slot, last first, contracts one more
-        axis per tuple, so no array grows beyond (points, tuples, dim^2).
-        """
-
-        def per_block(item):
-            jet, vec = item
-            points, tuples, _, dim = vec.shape
-            y = vec[:, :, 0] @ fn(jet).reshape(points, dim, -1)
-            for k in range(slots - 1, 0, -1):
-                y = np.einsum("...ij,...j->...i", y.reshape(points, tuples, -1, dim),
-                              vec[:, :, k])
-            return np.max(np.abs(y))
-
-        ends = np.cumsum([len(j.point) for j in self.jets])[:-1]
-        blocks = zip(self.jets, np.split(self.vectors, ends))
-        return _worst(*parallel_map(per_block, list(blocks)))
-
-    def residual(self, key: str) -> float:
-        """Sup of a `RESIDUALS` key, or a flag's residual; each is reduced once."""
-        if key in FLAGS:
-            return self.flag_residuals[key]
-        if key not in self._sups:
-            fn, slots = RESIDUALS[key]
-            if fn in self._per_point:
-                self._sups[key] = _worst(self._per_point[fn])
-            else:
-                self._sups[key] = (self.sup_contracted(fn, slots) if slots
-                                   else self.sup_pointwise(fn))
-        return self._sups[key]
-
-    # -- flags ------------------------------------------------------------------
-
-    @cached_property
-    def flag_residuals(self) -> dict:
-        return {name: _worst(*map(self.residual, keys)) for name, keys in FLAGS.items()}
-
-    @cached_property
-    def q_scalar_on_D(self) -> tuple:
-        """(lambda, residual) of the test Q|_D = lambda * id."""
-        two_n = self.structure.chart.dim - 1
-        lambdas = []
-        deviations = []
-        for j in self.jets:
-            qp = j.Q @ j.projector
-            lam = np.trace(qp, axis1=-2, axis2=-1) / two_n
-            lambdas.append(lam)
-            deviations.append(np.max(np.abs(qp - lam[:, None, None] * j.projector)))
-        lambdas = np.concatenate(lambdas)
-        lam0 = float(lambdas[0])
-        return lam0, _worst(*deviations, np.max(np.abs(lambdas - lam0)))
 
 
 @dataclass(frozen=True)
@@ -231,7 +61,7 @@ class Classification:
 
 
 def classify(s: Structure, plan: SamplePlan = DEFAULT_PLAN,
-             tol: float = st.DEFAULT_TOL, session: Session | None = None) -> Classification:
+             tol: float = DEFAULT_TOL, session: Session | None = None) -> Classification:
     """Evaluate every classification flag of a validated structure."""
     ses = session or Session(s, plan, tol)
     flags = {name: FlagResult(name, residual, tol, residual <= tol)
@@ -315,7 +145,7 @@ def _verdict_from(parts) -> tuple:
     live = [p for p in parts if p["applicable"]]
     if not live:
         return "n/a", None
-    residual = _worst(*(p["conclusion_residual"] for p in live))
+    residual = sup_at([p["conclusion_residual"] for p in live])[1]
     verdict = "pass" if all(p["ok"] for p in live) else "fail"
     return verdict, residual
 
@@ -350,7 +180,8 @@ class Check:
             hypothesis["nu"] = ses.structure.nu
         parts = []
         for imp in self.implications:
-            hyp = 0.0 if imp.kind == ALWAYS else _worst(premise, *map(ses.residual, imp.also))
+            hyp = (0.0 if imp.kind == ALWAYS
+                   else sup_at([premise, *map(ses.residual, imp.also)])[1])
             if imp.kind == IDENTITY and not hyp <= tol:
                 continue
             parts.append(_implication(imp.name, hyp, ses.residual(imp.conclusion), tol,
@@ -441,7 +272,7 @@ CHECK_IDS = tuple(check_id for check_id, _ in REGISTRY)
 
 
 def verify(s: Structure, which: str = "all", plan: SamplePlan = DEFAULT_PLAN,
-           tol: float = st.DEFAULT_TOL, session: Session | None = None) -> CheckReport:
+           tol: float = DEFAULT_TOL, session: Session | None = None) -> CheckReport:
     """Run one registered check (by id) or all of them."""
     ses = session or Session(s, plan, tol)
     if which == "all":

@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from .chart import SamplePlan
-from .classify import CHECK_IDS, Session, classify, verify
+from .classify import CHECK_IDS, classify, verify
 from .deform import (DeformParams, contact_vector_field, deform,
                      extract_sasakian, product_construction)
 from .errors import (AxiomViolationError, DomainError, FileFormatError,
@@ -113,18 +113,17 @@ def cmd_check(args) -> int:
 
 
 def _validated(args):
-    """Validation report of the structure file; raises on a violated axiom."""
+    """Validation report of the structure file; raises on a violated axiom.
+
+    Its `session` carries the resolved structure, the block jets and the
+    row sups on to the analysis.
+    """
     return validate(load_structure(args.file), _plan(args), args.tol).raise_for_violations()
 
 
-def _validated_session(args):
-    report = _validated(args)
-    return report.structure, Session(report.structure, report.plan, args.tol,
-                                     jets=report.jets, per_point=report.per_point)
-
-
 def cmd_classify(args) -> int:
-    s, ses = _validated_session(args)
+    ses = _validated(args).session
+    s = ses.structure
     result = classify(s, ses.plan, args.tol, session=ses)
     rows = []
     for name, fr in result.flags.items():
@@ -147,7 +146,8 @@ def cmd_classify(args) -> int:
 
 def cmd_verify(args) -> int:
     start = time.perf_counter()
-    s, ses = _validated_session(args)
+    ses = _validated(args).session
+    s = ses.structure
     report = verify(s, args.check, ses.plan, args.tol, session=ses)
     result = classify(s, ses.plan, args.tol, session=ses)
     rows = [(r.check_id, r.verdict, _fmt_res(r.residual),
@@ -176,7 +176,8 @@ def cmd_deform(args) -> int:
 
 
 def cmd_extract_sasakian(args) -> int:
-    s, ses = _validated_session(args)
+    ses = _validated(args).session
+    s = ses.structure
     out = extract_sasakian(s, ses.plan, args.tol, session=ses)
     save_structure(out, args.output)
     print(f"wrote {args.output} (nu = {out.nu:g})")
@@ -195,7 +196,8 @@ def cmd_product(args) -> int:
 
 
 def cmd_cvf(args) -> int:
-    s, ses = _validated_session(args)
+    ses = _validated(args).session
+    s = ses.structure
     components = [part.strip() for part in args.field.split(";")]
     if len(components) != s.chart.dim:
         raise FileFormatError(

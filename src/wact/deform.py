@@ -19,11 +19,10 @@ import numpy as np
 
 from . import expr as ex
 from .chart import Chart, DEFAULT_PLAN, SamplePlan, sample
-from .classify import Session
 from .errors import (EngineInconsistencyError, NotContactMetricError,
                      NotParallelError, NotWeakSasakianError, RankDeficientError,
                      SingularMetricError, ValidationFailedError)
-from .structure import (DEFAULT_TOL, Structure, ValidationReport, blocks,
+from .structure import (DEFAULT_TOL, Session, Structure, ValidationReport, blocks,
                         cholesky_defect, christoffel, matvec, nabla_11,
                         numeric_rank, sup_at, transpose, validate)
 from .tensor import TensorField
@@ -156,7 +155,8 @@ def extract_sasakian(s: Structure, plan: SamplePlan = DEFAULT_PLAN,
     Requires the weak Sasakian flags and the internal test Q|_D = nu * id
     (the test is run, not assumed); the output must classify as classical
     Sasakian or an engine-level inconsistency is raised.  A `session` over
-    the same plan saves building the block jets again.
+    the same plan, such as a validation report's, saves building the block
+    jets and reducing its flags again.
     """
     if s.nu is None:
         raise ValueError("structure must be validated before extraction")
@@ -174,8 +174,8 @@ def extract_sasakian(s: Structure, plan: SamplePlan = DEFAULT_PLAN,
     report = _forward(s, s.nu, s.nu, f"{s.name}_sasakian", plan, tol)
     out = report.structure
 
-    out_ses = Session(out, plan, tol, jets=report.jets, per_point=report.per_point)
-    q_id = out_ses.sup_pointwise(lambda j: j.Q - j.identity)
+    out_ses = report.session
+    q_id = out_ses.sup_pointwise(lambda j: j.Q - j.identity)[1]
     out_contact = out_ses.flag_residuals["weak_contact_metric"]
     out_normal = out_ses.flag_residuals["normal"]
     slack = 10.0 * tol
@@ -335,7 +335,7 @@ def contact_vector_field(s: Structure, X: TensorField,
     Evaluates the characterization Q X = -(1/2) phi grad(f) + nu f xi with
     f = eta(X), reports sigma = xi(f), and cross-checks Lie_X(eta) = sigma eta
     when the characterization holds.  A `session` over the same plan, such as
-    one holding validation's block jets, saves building the jets again.
+    a validation report's, saves building the block jets again.
     """
     if s.nu is None:
         raise ValueError("structure must be validated before the field test")

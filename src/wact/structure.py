@@ -14,6 +14,13 @@ Index conventions: component arrays are [upper..., lower...]; partial
 derivatives append the differentiation axis last (d_phi[i, j, k] is the
 k-partial of phi^i_j).
 
+`RESIDUALS` is the one table of residuals: the axioms and their derived
+consequences that `validate` reports, then the flag and identity residuals
+of the analysis, each a function of a block jet with its reduction.  A
+`Session` reduces each key once per run to (point index, sup): the largest
+entry of each block, then the worst block, both by `sup_at`, where a NaN
+counts as the largest.
+
 Every contraction of two or more block arrays (the jet's tensors, the
 Christoffel symbols and the identity residuals) goes through `einsum`, which
 runs a step program planned once per subscripts and operand shapes: numpy's
@@ -33,10 +40,11 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .chart import Chart, DEFAULT_PLAN, SamplePlan, sample
+from .chart import Chart, DEFAULT_PLAN, SamplePlan, sample, sample_vectors
 from .errors import AxiomViolationError
 from .runtime import parallel_map
 from .tensor import TensorField
@@ -491,9 +499,16 @@ def outer(u, v):
     return u[..., :, None] * v[..., None, :]
 
 
-def pointwise_sup(j: StructureJet, arr) -> np.ndarray:
-    """sup |arr| over the component axes, at each point of the jet."""
-    return np.abs(arr).reshape(j.point.shape[:-1] + (-1,)).max(axis=-1)
+def _point_sup(a) -> tuple:
+    """(point, value) of the largest entry of a (points, ...) array, by `sup_at`.
+
+    The axes after the first are visited in memory order, so a transposed
+    result of `einsum`, whose points are outermost in memory, is searched in
+    place instead of copied; the point found is the same in any order.
+    """
+    inner = sorted(range(1, a.ndim), key=lambda axis: -a.strides[axis])
+    index, value = sup_at(a.transpose(0, *inner))
+    return index // (a.size // len(a)), value
 
 
 def sup_at(values) -> tuple:
@@ -508,12 +523,8 @@ def sup_at(values) -> tuple:
 
 
 # --------------------------------------------------------------------------
-# Axiom residuals (one value per point)
+# Axiom residuals (arrays whose sup over the components is the residual)
 # --------------------------------------------------------------------------
-
-def _res_metric_symmetric(j: StructureJet):
-    return pointwise_sup(j, j.g - transpose(j.g))
-
 
 def cholesky_defect(g):
     """0 where the symmetric part of g is positive definite, > 0 elsewhere."""
@@ -533,24 +544,21 @@ def cholesky_defect(g):
     return out.reshape(sym.shape[:-2])
 
 
-def _res_phi_square(j: StructureJet):
-    return pointwise_sup(j, j.phi2 + j.Q - outer(j.Qxi, j.eta))
-
-
-def _res_eta_xi(j: StructureJet):
-    return np.abs(np.einsum("...i,...i->...", j.eta, j.xi) - 1.0)
-
-
 def _res_q_xi_alignment(j: StructureJet):
-    return pointwise_sup(j, j.Qxi - np.asarray(j.nu)[..., None] * j.xi)
+    return j.Qxi - np.asarray(j.nu)[..., None] * j.xi
+
+
+def _res_q_xi_nu(j: StructureJet):
+    """Q xi = nu xi with nu constant: the alignment, or nu's drift if larger."""
+    return np.maximum(np.abs(_res_q_xi_alignment(j)).max(axis=-1),
+                      np.abs(j.nu_at_point - j.nu))
 
 
 def _res_phi_invariant(j: StructureJet):
-    """sup |eta(phi w)| over an exact basis of ker(eta) at each point."""
+    """eta(phi w) over an exact basis of ker(eta) at each point."""
     _, _, vh = np.linalg.svd(j.eta[..., None, :])
     kernel = vh[..., 1:, :]  # rows span ker eta
-    vals = (kernel @ transpose(j.phi)) @ j.eta[..., None]
-    return pointwise_sup(j, vals)
+    return (kernel @ transpose(j.phi)) @ j.eta[..., None]
 
 
 def _res_compatibility(j: StructureJet):
@@ -558,7 +566,7 @@ def _res_compatibility(j: StructureJet):
     lhs = np.einsum("...ai,...bj,...ab->...ij", j.phi, j.phi, j.g)
     rhs = (np.einsum("...ia,...aj->...ij", j.g, j.Q)
            - np.einsum("...i,...a,...aj->...ij", j.eta, j.eta, j.Q))
-    return pointwise_sup(j, lhs - rhs)
+    return lhs - rhs
 
 
 def _q_singular_ratio(j: StructureJet):
@@ -567,181 +575,10 @@ def _q_singular_ratio(j: StructureJet):
         return np.where(sv[..., 0] > 0.0, sv[..., -1] / sv[..., 0], 0.0)
 
 
-def _res_phi_xi(j: StructureJet):
-    return pointwise_sup(j, matvec(j.phi, j.xi))
-
-
-def _res_eta_phi(j: StructureJet):
-    return pointwise_sup(j, np.einsum("...i,...ij->...j", j.eta, j.phi))
-
-
-def _res_q_phi_commute(j: StructureJet):
-    return pointwise_sup(j, j.Q @ j.phi - j.phi @ j.Q)
-
-
-def _res_phi_skew(j: StructureJet):
-    m = np.einsum("...ai,...aj->...ij", j.phi, j.g)
-    return pointwise_sup(j, m + transpose(m))
-
-
-def _res_q_selfadjoint(j: StructureJet):
-    m = np.einsum("...ai,...aj->...ij", j.Q, j.g)
-    return pointwise_sup(j, m - transpose(m))
-
-
-def _res_eta_is_g_xi(j: StructureJet):
-    return pointwise_sup(j, j.eta - matvec(j.g, j.xi))
-
-
-@dataclass(frozen=True)
-class AxiomRow:
-    """One validation check: residual semantics depend on `comparison`."""
-
-    axiom: str
-    kind: str  # 'axiom' | 'derived'
-    value: float
-    threshold: float
-    comparison: str  # '<=' (residual) or '>' (lower bound, e.g. singular values)
-    worst_point: tuple
-    note: str = ""
-
-    @property
-    def passed(self) -> bool:
-        if self.comparison == "<=":
-            return self.value <= self.threshold
-        return self.value > self.threshold
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Residuals of every axiom over the sample plan."""
-
-    name: str
-    plan: SamplePlan
-    tol: float
-    rows: tuple
-    nu: float | None
-    structure: Structure | None
-    jets: tuple = field(default=(), compare=False, repr=False)
-    # residual function -> its value at each sample point, for a later Session
-    per_point: dict = field(default_factory=dict, compare=False, repr=False)
-
-    @property
-    def ok(self) -> bool:
-        return all(row.passed for row in self.rows)
-
-    @property
-    def axiom_rows(self):
-        return [r for r in self.rows if r.kind == "axiom"]
-
-    @property
-    def derived_rows(self):
-        return [r for r in self.rows if r.kind == "derived"]
-
-    def row(self, axiom: str) -> AxiomRow:
-        for r in self.rows:
-            if r.axiom == axiom:
-                return r
-        raise KeyError(axiom)
-
-    def raise_for_violations(self):
-        failures = [(r.axiom, r.worst_point, r.value) for r in self.rows if not r.passed]
-        if failures:
-            raise AxiomViolationError(failures)
-        return self
-
-    def to_json_dict(self) -> dict:
-        return {
-            "structure": self.name,
-            "plan": {"count": self.plan.count, "seed": self.plan.seed,
-                     "margin": self.plan.margin},
-            "tol": self.tol,
-            "nu": self.nu,
-            "valid": self.ok,
-            "axioms": [
-                {"id": r.axiom, "kind": r.kind, "value": r.value,
-                 "threshold": r.threshold, "comparison": r.comparison,
-                 "worst_point": list(r.worst_point),
-                 "verdict": "pass" if r.passed else "fail",
-                 **({"note": r.note} if r.note else {})}
-                for r in self.rows
-            ],
-        }
-
-
-_POINTWISE_AXIOMS = [
-    ("metric_symmetric", "axiom", _res_metric_symmetric),
-    ("metric_positive_definite", "axiom", lambda j: cholesky_defect(j.g)),
-    ("phi_square", "axiom", _res_phi_square),
-    ("eta_xi", "axiom", _res_eta_xi),
-    ("phi_invariant_D", "axiom", _res_phi_invariant),
-    ("compatibility", "axiom", _res_compatibility),
-    ("phi_xi_zero", "derived", _res_phi_xi),
-    ("eta_phi_zero", "derived", _res_eta_phi),
-    ("q_phi_commute", "derived", _res_q_phi_commute),
-    ("phi_skew_adjoint", "derived", _res_phi_skew),
-    ("q_self_adjoint", "derived", _res_q_selfadjoint),
-    ("eta_is_g_flat_xi", "derived", _res_eta_is_g_xi),
-]
-
-
-def validate(s: Structure, plan: SamplePlan = DEFAULT_PLAN,
-             tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Check every axiom at each sample point; resolve nu if not supplied.
-
-    Returns a report whose `structure` carries the resolved nu when all rows
-    pass (and also when only derived rows fail, so callers can inspect), and
-    whose `jets` and `per_point` row values serve a later Session over the
-    same plan.
-    """
-    points = sample(s.chart, plan)
-    jets = block_jets(s, points)
-
-    def per_point(fn) -> np.ndarray:
-        return np.concatenate([fn(j) for j in jets])
-
-    def row(axiom, kind, values, threshold, comparison, note="", floor=-np.inf):
-        worst = sup_at(values if comparison == "<=" else -values)[0]
-        value = float(np.maximum(values[worst], floor))
-        if not np.isfinite(value):
-            note = "; ".join(filter(None, (note, "residual is not finite")))
-        return AxiomRow(axiom, kind, value, threshold, comparison,
-                        tuple(float(v) for v in points[worst]), note)
-
-    nu = s.nu if s.nu is not None else float(jets[0].nu_at_point[0])
-    resolved = s.with_nu(nu) if s.nu is None else s
-    for j in jets:
-        j.structure = resolved  # let jets see the resolved constant
-
-    values = {fn: per_point(fn) for _, _, fn in _POINTWISE_AXIOMS}
-    values[_res_q_xi_alignment] = per_point(_res_q_xi_alignment)
-    rows = [row(axiom, kind, values[fn], tol, "<=")
-            for axiom, kind, fn in _POINTWISE_AXIOMS]
-
-    # Q xi = nu xi with nu a positive constant.
-    q_values = np.maximum(values[_res_q_xi_alignment],
-                          per_point(lambda j: np.abs(j.nu_at_point - nu)))
-    if nu <= 0.0:
-        q_row = row("q_xi_nu", "axiom", q_values, tol, "<=",
-                    f"nu = {nu} is not positive", 1.0 + abs(nu))
-    else:
-        q_row = row("q_xi_nu", "axiom", q_values, tol, "<=")
-    rows.insert(4, q_row)
-
-    # Nonsingularity: smallest relative singular value must stay above threshold.
-    rows.insert(5, row("q_nonsingular", "axiom", per_point(_q_singular_ratio),
-                       RANK_RTOL, ">"))
-
-    # Numeric rank of phi must equal 2n.
-    target = s.chart.dim - 1
-    ranks = per_point(lambda j: numeric_rank(j.phi))
-    deviations = np.abs(ranks - target).astype(float)
-    worst = sup_at(deviations)[0]
-    rows.append(row("phi_rank_2n", "derived", deviations, 0.0, "<=",
-                    f"rank {ranks[worst]} vs 2n = {target}"))
-
-    return ValidationReport(s.name, plan, tol, tuple(rows), float(nu), resolved,
-                            tuple(jets), values)
+def _adjoint_defect(a, g, sign: float):
+    """g(a e_i, e_j) + sign g(a e_j, e_i): a skew-adjoint for sign 1, self-adjoint for -1."""
+    m = np.einsum("...ai,...aj->...ij", a, g)
+    return m + sign * transpose(m)
 
 
 # --------------------------------------------------------------------------
@@ -882,3 +719,324 @@ def cosymplectic_torsion_residual(j: StructureJet) -> np.ndarray:
            + einsum("...mca,...mb->...abc", j.N5, j.phi)
            + einsum("...mab,...mc->...abc", j.N5, j.phi))
     return lhs - rhs
+
+
+def _antisymmetric_part(m):
+    return 0.5 * (m - transpose(m))
+
+
+# --------------------------------------------------------------------------
+# The residual table, its flags, and the Session that reduces them
+# --------------------------------------------------------------------------
+
+AXIOM, DERIVED = "axiom", "derived"
+
+
+class Residual(NamedTuple):
+    """A row of `RESIDUALS`: a function of a block jet and its reduction.
+
+    `slots` 0 reduces the array componentwise, to the sup of |entries|; 2
+    or 3 contracts that many slots with the Session's test vectors, to the
+    sup over the tuples.  Either sup runs over all sample points, and the
+    point where it lies is kept.  A row with a `kind` is a validation row:
+    it passes when its sup is `<=` its threshold, or, for a lower bound
+    (`>`), when its smallest value is above it.  A threshold of None is the
+    run's tolerance.
+    """
+    fn: Callable
+    slots: int = 0
+    kind: str = ""  # AXIOM | DERIVED for a validation row
+    comparison: str = "<="
+    threshold: float | None = None
+
+
+# key -> Residual: the validation rows in report order, then the analysis rows
+RESIDUALS = {
+    "metric_symmetric": Residual(lambda j: j.g - transpose(j.g), kind=AXIOM),
+    "metric_positive_definite": Residual(lambda j: cholesky_defect(j.g), kind=AXIOM),
+    "phi_square": Residual(lambda j: j.phi2 + j.Q - outer(j.Qxi, j.eta), kind=AXIOM),
+    "eta_xi": Residual(lambda j: np.einsum("...i,...i->...", j.eta, j.xi) - 1.0, kind=AXIOM),
+    "q_xi_nu": Residual(_res_q_xi_nu, kind=AXIOM),
+    "q_nonsingular": Residual(_q_singular_ratio, kind=AXIOM, comparison=">",
+                              threshold=RANK_RTOL),
+    "phi_invariant_D": Residual(_res_phi_invariant, kind=AXIOM),
+    "compatibility": Residual(_res_compatibility, kind=AXIOM),
+    "phi_xi_zero": Residual(lambda j: matvec(j.phi, j.xi), kind=DERIVED),
+    "eta_phi_zero": Residual(lambda j: np.einsum("...i,...ij->...j", j.eta, j.phi),
+                             kind=DERIVED),
+    "q_phi_commute": Residual(lambda j: j.Q @ j.phi - j.phi @ j.Q, kind=DERIVED),
+    "phi_skew_adjoint": Residual(lambda j: _adjoint_defect(j.phi, j.g, 1.0), kind=DERIVED),
+    "q_self_adjoint": Residual(lambda j: _adjoint_defect(j.Q, j.g, -1.0), kind=DERIVED),
+    "eta_is_g_flat_xi": Residual(lambda j: j.eta - matvec(j.g, j.xi), kind=DERIVED),
+    "phi_rank_2n": Residual(lambda j: numeric_rank(j.phi) - (j.dim - 1), kind=DERIVED,
+                            threshold=0.0),
+    "q_xi_alignment": Residual(_res_q_xi_alignment),
+    "contact": Residual(lambda j: j.Phi - j.dEta),
+    "killing": Residual(lambda j: j.lie_xi_g),
+    "n1": Residual(lambda j: j.N1),
+    "d_eta": Residual(lambda j: j.dEta),
+    "d_phi": Residual(lambda j: j.dPhi),
+    "nabla_phi": Residual(lambda j: j.nabla_phi),
+    "n2": Residual(lambda j: j.N2),
+    "n3": Residual(lambda j: j.N3),
+    "n4": Residual(lambda j: j.N4),
+    "n5": Residual(lambda j: j.N5),
+    "n1_torsion": Residual(lambda j: j.N1 - j.nijenhuis_phi),
+    "nabla_xi_xi": Residual(lambda j: j.nabla_xi_xi),
+    "iota_xi_d_eta": Residual(lambda j: matvec(j.dEta, j.xi)),
+    "lie_xi_eta": Residual(lambda j: j.lie_xi_eta),
+    "lie_xi_d_eta": Residual(lambda j: j.lie_xi_dEta),
+    "h_xi": Residual(lambda j: matvec(j.h, j.xi)),
+    "q_is_nu_on_D": Residual(lambda j: (j.Q @ j.projector) - j.nu * j.projector),
+    "n2_reduction": Residual(lambda j: j.n2_reduction, 2),
+    # the stated reduction is not antisymmetric for nu != 1: its symmetric
+    # part, and the nu-weighted variant that is, are reported beside it
+    "n2_reduction_antisymmetrized": Residual(lambda j: _antisymmetric_part(j.n2_reduction), 2),
+    "n2_reduction_nu_weighted": Residual(n2_reduction_residual_nu_weighted, 2),
+    "master_identity": Residual(master_identity_residual, 3),
+    "contact_reduction": Residual(contact_identity_residual, 3),
+    "xi_direction": Residual(xi_direction_identity_residual, 2),
+    "h_adjoint_defect": Residual(h_adjoint_identity_residual, 2),
+    "h_anticommutator_defect": Residual(h_anticommutator_identity_residual, 2),
+    "q_weighted_nabla_xi": Residual(q_nabla_xi_identity_residual, 2),
+    "n5_pairing": Residual(b_phi_identity_residual, 2),
+    "sasakian_nabla_phi": Residual(sasakian_nabla_phi_residual, 3),
+    "cosymplectic_nabla_phi": Residual(cosymplectic_nabla_phi_residual, 3),
+    "cosymplectic_d_phi": Residual(cosymplectic_dphi_residual, 3),
+    "cosymplectic_torsion": Residual(cosymplectic_torsion_residual, 3),
+}
+
+# flag -> the residual keys it takes the worst of
+FLAGS = {
+    "weak_almost_contact_metric":
+        ("phi_square", "eta_xi", "q_xi_alignment", "phi_invariant_D", "compatibility"),
+    "weak_contact_metric": ("contact",),
+    "weak_K_contact": ("killing",),
+    "normal": ("n1",),
+    "weak_Sasakian": ("n1", "contact"),
+    "weak_almost_cosymplectic": ("d_eta", "d_phi"),
+    "weak_cosymplectic": ("d_eta", "d_phi", "n1"),
+    "phi_parallel": ("nabla_phi",),
+}
+
+_TUPLES_PER_POINT = 5
+_SLOTS = 3
+
+
+class Session:
+    """One run over a sample plan: its points, block jets, test vectors and sups.
+
+    `validate` builds it, resolves nu and reduces the validation rows through
+    it; `classify`, `verify` and the constructions reduce the analysis rows
+    and the flags through the same Session, so each block jet is built once
+    and each key of `RESIDUALS` is reduced once per run.  A structure whose
+    nu is not resolved yet is accepted, but reducing any key needs nu.
+    """
+
+    def __init__(self, s: Structure, plan: SamplePlan = DEFAULT_PLAN,
+                 tol: float = DEFAULT_TOL):
+        self.structure = s
+        self.plan = plan
+        self.tol = tol
+        self.points = sample(s.chart, plan)
+        self._sups = {}
+
+    @cached_property
+    def jets(self) -> list:
+        """One StructureJet per block of sample points."""
+        return block_jets(self.structure, self.points)
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        """Shape (points, tuples, slots, dim), components in [-1, 1]."""
+        dim = self.structure.chart.dim
+        return sample_vectors(self.plan, np.arange(len(self.points)),
+                              _TUPLES_PER_POINT, _SLOTS, dim)
+
+    # -- residual reducers -----------------------------------------------------
+
+    def _over_blocks(self, sups: list) -> tuple:
+        """(point index, sup) of the worst of the blocks' (point, sup) pairs."""
+        block = sup_at([value for _, value in sups])[0]
+        offset = sum(len(j.point) for j in self.jets[:block])
+        return offset + sups[block][0], sups[block][1]
+
+    def sup_pointwise(self, fn) -> tuple:
+        """(point index, sup) of |fn(jet)| over the components and the sample points."""
+        return self._over_blocks(parallel_map(lambda j: _point_sup(np.abs(fn(j))), self.jets))
+
+    def sup_contracted(self, fn, slots: int) -> tuple:
+        """(point index, sup) of a contracted residual tensor over points and vector tuples.
+
+        The first slot is one batched matmul over the points, (tuples, dim) @
+        (dim, dim^(slots-1)); each later slot, last first, contracts one more
+        axis per tuple, so no array grows beyond (points, tuples, dim^2).
+        """
+
+        def per_block(item):
+            jet, vec = item
+            points, tuples, _, dim = vec.shape
+            y = vec[:, :, 0] @ fn(jet).reshape(points, dim, -1)
+            for k in range(slots - 1, 0, -1):
+                y = np.einsum("...ij,...j->...i", y.reshape(points, tuples, -1, dim),
+                              vec[:, :, k])
+            return _point_sup(np.abs(y))
+
+        ends = np.cumsum([len(j.point) for j in self.jets])[:-1]
+        blocks = zip(self.jets, np.split(self.vectors, ends))
+        return self._over_blocks(parallel_map(per_block, list(blocks)))
+
+    def sup(self, key: str) -> tuple:
+        """(point index, sup) of a `RESIDUALS` key, reduced once per Session.
+
+        A lower-bound row reports its smallest value, and where it is, instead.
+        """
+        if key not in self._sups:
+            if self.structure.nu is None:
+                raise ValueError("structure must be validated (nu resolved) before analysis")
+            row = RESIDUALS[key]
+            if row.comparison == ">":
+                values = np.concatenate([row.fn(j) for j in self.jets])
+                index = sup_at(-values)[0]
+                self._sups[key] = index, float(values[index])
+            else:
+                self._sups[key] = (self.sup_contracted(row.fn, row.slots) if row.slots
+                                   else self.sup_pointwise(row.fn))
+        return self._sups[key]
+
+    def residual(self, key: str) -> float:
+        """Sup of a `RESIDUALS` key, or a flag's residual."""
+        return self.flag_residuals[key] if key in FLAGS else self.sup(key)[1]
+
+    # -- flags ------------------------------------------------------------------
+
+    @cached_property
+    def flag_residuals(self) -> dict:
+        return {name: sup_at([self.residual(key) for key in keys])[1]
+                for name, keys in FLAGS.items()}
+
+    @cached_property
+    def q_scalar_on_D(self) -> tuple:
+        """(lambda, residual) of the test Q|_D = lambda * id."""
+        two_n = self.structure.chart.dim - 1
+        lambdas = []
+        deviations = []
+        for j in self.jets:
+            qp = j.Q @ j.projector
+            lam = np.trace(qp, axis1=-2, axis2=-1) / two_n
+            lambdas.append(lam)
+            deviations.append(np.max(np.abs(qp - lam[:, None, None] * j.projector)))
+        lambdas = np.concatenate(lambdas)
+        lam0 = float(lambdas[0])
+        return lam0, sup_at([*deviations, np.max(np.abs(lambdas - lam0))])[1]
+
+
+# --------------------------------------------------------------------------
+# Validation
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class AxiomRow:
+    """One validation check: residual semantics depend on `comparison`."""
+
+    axiom: str
+    kind: str  # AXIOM | DERIVED
+    value: float
+    threshold: float
+    comparison: str  # '<=' (residual) or '>' (lower bound, e.g. singular values)
+    worst_point: tuple
+    note: str = ""
+
+    @property
+    def passed(self) -> bool:
+        if self.comparison == "<=":
+            return self.value <= self.threshold
+        return self.value > self.threshold
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    """Residuals of every axiom over the sample plan, and the Session behind them."""
+
+    name: str
+    plan: SamplePlan
+    tol: float
+    rows: tuple
+    nu: float | None
+    structure: Structure | None
+    session: Session | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def ok(self) -> bool:
+        return all(row.passed for row in self.rows)
+
+    @property
+    def axiom_rows(self):
+        return [r for r in self.rows if r.kind == AXIOM]
+
+    def row(self, axiom: str) -> AxiomRow:
+        for r in self.rows:
+            if r.axiom == axiom:
+                return r
+        raise KeyError(axiom)
+
+    def raise_for_violations(self):
+        failures = [(r.axiom, r.worst_point, r.value) for r in self.rows if not r.passed]
+        if failures:
+            raise AxiomViolationError(failures)
+        return self
+
+    def to_json_dict(self) -> dict:
+        return {
+            "structure": self.name,
+            "plan": {"count": self.plan.count, "seed": self.plan.seed,
+                     "margin": self.plan.margin},
+            "tol": self.tol,
+            "nu": self.nu,
+            "valid": self.ok,
+            "axioms": [
+                {"id": r.axiom, "kind": r.kind, "value": r.value,
+                 "threshold": r.threshold, "comparison": r.comparison,
+                 "worst_point": list(r.worst_point),
+                 "verdict": "pass" if r.passed else "fail",
+                 **({"note": r.note} if r.note else {})}
+                for r in self.rows
+            ],
+        }
+
+
+def validate(s: Structure, plan: SamplePlan = DEFAULT_PLAN,
+             tol: float = DEFAULT_TOL) -> ValidationReport:
+    """Reduce every validation row of `RESIDUALS`; resolve nu if not supplied.
+
+    An open nu is resolved to g(Q xi, xi) / g(xi, xi) at the first sample
+    point before any row, and the `q_xi_nu` row then checks that it is
+    constant and positive.  The report's `structure` carries the resolved nu
+    (also when rows fail, so callers can inspect), and its `session` is the
+    Session that reduced the rows: `classify`, `verify` and the constructions
+    take it and reuse its block jets and sups.
+    """
+    ses = Session(s, plan, tol)
+    if s.nu is None:
+        ses.structure = s.with_nu(ses.jets[0].nu_at_point[0])
+        for j in ses.jets:
+            j.structure = ses.structure  # let jets see the resolved constant
+    nu = ses.structure.nu
+    rows = []
+    for key, row in RESIDUALS.items():
+        if not row.kind:
+            continue
+        index, value = ses.sup(key)
+        note = ""
+        if key == "q_xi_nu" and nu <= 0.0:
+            note, value = f"nu = {nu} is not positive", float(np.maximum(value, 1.0 + abs(nu)))
+        elif key == "phi_rank_2n":
+            block, i = divmod(index, BLOCK_POINTS)
+            note = f"rank {numeric_rank(ses.jets[block].phi[i])} vs 2n = {s.dim - 1}"
+        if not np.isfinite(value):
+            note = "; ".join(filter(None, (note, "residual is not finite")))
+        rows.append(AxiomRow(key, row.kind, value,
+                             tol if row.threshold is None else row.threshold,
+                             row.comparison, tuple(float(v) for v in ses.points[index]),
+                             note))
+    return ValidationReport(s.name, plan, tol, tuple(rows), float(nu), ses.structure, ses)

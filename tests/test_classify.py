@@ -8,7 +8,8 @@ import pytest
 from conftest import FAST_PLAN, PLAN, TOL
 from wact import structure as st
 from wact.chart import SamplePlan
-from wact.classify import CHECK_IDS, Session, classify, verify
+from wact.classify import (CHECK_IDS, CHECKS, FLAGS, RESIDUALS, Session, classify,
+                           verify)
 from wact.errors import UnknownCheckIdError
 from wact.structure import validate
 from wact.tensor import TensorField
@@ -210,10 +211,43 @@ def test_killing_equivalence_directions_on_h_fixture(contact_h):
     assert parts["n2_vanishes"]["ok"]
 
 
+def test_every_named_key_is_a_row_and_every_analysis_row_is_named():
+    # a misspelled key would otherwise surface only as a KeyError mid-run
+    named = set()
+    for keys in FLAGS.values():
+        named.update(keys)
+    for check in CHECKS:
+        named.update(check.hypothesis + check.details)
+        for imp in check.implications:
+            named.update((imp.conclusion,) + imp.also)
+    assert named <= set(RESIDUALS) | set(FLAGS)
+    analysis = {key for key, row in RESIDUALS.items() if not row.kind}
+    assert analysis <= named
+
+
+def test_validation_rows_come_in_report_order(sasakian_r3):
+    order = ["metric_symmetric", "metric_positive_definite", "phi_square", "eta_xi",
+             "q_xi_nu", "q_nonsingular", "phi_invariant_D", "compatibility",
+             "phi_xi_zero", "eta_phi_zero", "q_phi_commute", "phi_skew_adjoint",
+             "q_self_adjoint", "eta_is_g_flat_xi", "phi_rank_2n"]
+    assert [key for key, row in RESIDUALS.items() if row.kind] == order
+    report = validate(sasakian_r3, FAST_PLAN, TOL)
+    assert [row.axiom for row in report.rows] == order
+    assert [row.kind for row in report.rows] == ["axiom"] * 8 + ["derived"] * 7
+
+
 def test_session_requires_resolved_nu(sasakian_r3):
+    # a Session accepts an open nu (validate resolves it through one), but
+    # no key is reduced, and no classification or check runs, before that
     raw = dataclasses.replace(sasakian_r3, nu=None)
+    ses = Session(raw, FAST_PLAN, TOL)
+    for key in RESIDUALS:
+        with pytest.raises(ValueError):
+            ses.residual(key)
     with pytest.raises(ValueError):
-        Session(raw, FAST_PLAN, TOL)
+        classify(raw, FAST_PLAN, TOL)
+    with pytest.raises(ValueError):
+        verify(raw, "all", FAST_PLAN, TOL)
 
 
 def test_check_report_json_roundtrip(sasakian_r3):

@@ -316,9 +316,17 @@ def test_openblas_threads_do_not_change_report_bytes(tmp_path):
     assert reports[0] == reports[1]
 
 
-def test_cvf_reuses_the_validation_jets(tmp_path, monkeypatch, capsys):
-    # validation builds one StructureJet per block and the field test reads
-    # the same jets; 25 points in blocks of 10 make 3 blocks
+@pytest.mark.parametrize("command, extra, structures", [
+    ("check", (), 1),
+    ("classify", (), 1),
+    ("verify", ("--check", "all"), 1),
+    ("cvf", ("--field", "0;2;2*x"), 1),
+    ("extract-sasakian", ("-o", "{tmp}/out.json"), 2),  # the input, then the output
+], ids=["check", "classify", "verify", "cvf", "extract-sasakian"])
+def test_each_command_builds_each_block_jet_once(command, extra, structures, tmp_path,
+                                                 monkeypatch, capsys):
+    # 25 points in blocks of 10 make 3 blocks per structure; the analysis
+    # reads the jets of validation's Session instead of building them again
     monkeypatch.setattr(structure, "BLOCK_POINTS", 10)
     built = []
     init = structure.StructureJet.__init__
@@ -327,17 +335,20 @@ def test_cvf_reuses_the_validation_jets(tmp_path, monkeypatch, capsys):
         built.append(len(point))
         init(self, s, point, *args, **kwargs)
     monkeypatch.setattr(structure.StructureJet, "__init__", counted)
-    out = tmp_path / "cvf.json"
-    assert run("cvf", R3, "--field", "0;2;2*x", *FAST, "--json", str(out)) == 0
-    assert built == [10, 10, 5]
-    assert json.loads(out.read_text())["is_weak_contact"] is True
+    argv = [arg.format(tmp=tmp_path) for arg in extra]
+    report = tmp_path / "report.json"
+    assert run(command, R3, *argv, *FAST, "--json", str(report)) == 0
+    assert built == [10, 10, 5] * structures
+    if command == "cvf":
+        assert json.loads(report.read_text())["is_weak_contact"] is True
 
 
 def test_verify_reuses_the_validation_rows(monkeypatch, capsys):
-    # the weak almost contact metric flag takes the worst of 5 validation
-    # residuals; the Session reads validation's per-point values instead of
-    # computing them again.  Calls are counted by code object, 25 points in
-    # blocks of 10 make 3 blocks.
+    # the weak almost contact metric flag takes the worst of 5 residuals, 4
+    # of them validation rows; the Session reduced each of those once, in
+    # validation, and the flag reads its sups instead of computing them
+    # again.  Calls are counted by code object, 25 points in blocks of 10
+    # make 3 blocks.
     monkeypatch.setattr(structure, "BLOCK_POINTS", 10)
     codes = {fn.__code__: fn.__name__
              for fn in (structure._res_compatibility, structure._res_phi_invariant)}

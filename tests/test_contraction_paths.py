@@ -21,7 +21,7 @@ import pytest
 from conftest import FAST_PLAN, TOL
 from wact import structure as st
 from wact.chart import SamplePlan
-from wact.classify import RESIDUALS, Session, verify
+from wact.classify import RESIDUALS, verify
 from wact.cli import main
 from wact.fileio import bundled_names, bundled_path, load_bundled
 from wact.structure import validate
@@ -40,8 +40,7 @@ def _contractions(monkeypatch) -> set:
     monkeypatch.setattr(st, "einsum", recording)
     for name in VALID:
         report = validate(load_bundled(name), FAST_PLAN, 1e-8).raise_for_violations()
-        ses = Session(report.structure, FAST_PLAN, TOL, jets=report.jets)
-        verify(report.structure, "all", FAST_PLAN, TOL, session=ses)
+        verify(report.structure, "all", FAST_PLAN, TOL, session=report.session)
     monkeypatch.undo()
     return seen
 
@@ -100,16 +99,16 @@ CONTRACTED = {2: "...ab,...ta,...tb->...t", 3: "...abc,...ta,...tb,...tc->...t"}
 @pytest.mark.parametrize("points", [1, 37, 1024])
 def test_contracted_reducer_matches_plain_einsum(points):
     plan = SamplePlan(points, FAST_PLAN.seed, FAST_PLAN.margin)
-    contracted = {key: spec for key, spec in RESIDUALS.items() if spec[1]}
+    contracted = {key: row for key, row in RESIDUALS.items() if row.slots}
     for name in VALID:
-        report = validate(load_bundled(name), plan, 1e-8).raise_for_violations()
-        ses = Session(report.structure, plan, TOL, jets=report.jets)
-        for key, (fn, slots) in contracted.items():
+        ses = validate(load_bundled(name), plan, 1e-8).raise_for_violations().session
+        for key, row in contracted.items():
+            fn, slots = row.fn, row.slots
             residual = np.concatenate([fn(j) for j in ses.jets])
             vectors = [ses.vectors[:, :, k] for k in range(slots)]
             plain = np.einsum(CONTRACTED[slots], residual, *vectors)
             scale = np.einsum(CONTRACTED[slots], np.abs(residual), *map(np.abs, vectors))
-            assert (abs(ses.sup_contracted(fn, slots) - np.max(np.abs(plain)))
+            assert (abs(ses.sup_contracted(fn, slots)[1] - np.max(np.abs(plain)))
                     <= 1e-13 * np.max(scale)), (name, key, points)
 
 
@@ -128,10 +127,8 @@ def test_residuals_reach_neither_numpys_planner_nor_its_multi_operand_loop(monke
         return plain(subscripts, *operands, **kwargs)
     monkeypatch.setattr(np, "einsum", refuse)
     for report in reports:
-        ses = Session(report.structure, FAST_PLAN, TOL, jets=report.jets,
-                      per_point=report.per_point)
         for key in RESIDUALS:
-            assert ses.residual(key) >= 0.0, key
+            assert report.session.residual(key) >= 0.0, key
 
 
 def test_one_operand_calls_are_plain_einsum(monkeypatch):

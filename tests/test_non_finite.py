@@ -56,16 +56,16 @@ def test_pointwise_reducer_keeps_nan(session, monkeypatch, block_points):
     # one block, and one block per point (40 blocks, so the pool maps them)
     monkeypatch.setattr(st, "BLOCK_POINTS", block_points)
     assert len(session.jets) == (1 if block_points > 1 else 40)
-    value = session.sup_pointwise(_nan_after_first(session, (3, 3)))
-    assert math.isnan(value)
+    index, value = session.sup_pointwise(_nan_after_first(session, (3, 3)))
+    assert index == 1 and math.isnan(value)
     assert not value <= TOL
 
 
 @pytest.mark.parametrize("block_points", [st.BLOCK_POINTS, 1])
 def test_contracted_reducer_keeps_nan(session, monkeypatch, block_points):
     monkeypatch.setattr(st, "BLOCK_POINTS", block_points)
-    value = session.sup_contracted(_nan_after_first(session, (3, 3)), 2)
-    assert math.isnan(value)
+    index, value = session.sup_contracted(_nan_after_first(session, (3, 3)), 2)
+    assert index == 1 and math.isnan(value)
 
 
 def test_nan_conclusion_fails_the_check():

@@ -25,7 +25,7 @@ import pytest
 
 from conftest import FAST_PLAN, PLAN, TOL, make_contact_h
 from wact.chart import CounterStream, SamplePlan, sample, sample_vectors
-from wact.classify import Session, classify, verify
+from wact.classify import classify, verify
 from wact.deform import DeformParams, deform
 from wact.errors import DomainError
 from wact.fileio import bundled_names, load_bundled
@@ -53,7 +53,7 @@ def _current(name: str) -> dict:
            "validation": report.to_json_dict()}
     if report.ok:
         s = report.structure
-        ses = Session(s, plan, TOL, jets=report.jets)
+        ses = report.session
         out["classification"] = classify(s, plan, TOL, session=ses).to_json_dict()
         out["checks"] = verify(s, "all", plan, TOL, session=ses).to_json_dict()
     return out

@@ -116,16 +116,16 @@ def test_n2_n4_vanish_on_contact_metric_examples(
         sasakian_r3, sasakian_r5, weak_sasakian_l2, weak_contact_h, sessions):
     for s in (sasakian_r3, sasakian_r5, weak_sasakian_l2, weak_contact_h):
         ses = sessions(s, FAST_PLAN)
-        assert ses.sup_pointwise(lambda j: j.N2) < 1e-6
-        assert ses.sup_pointwise(lambda j: j.N4) < 1e-6
+        assert ses.sup_pointwise(lambda j: j.N2)[1] < 1e-6
+        assert ses.sup_pointwise(lambda j: j.N4)[1] < 1e-6
 
 
 def test_n3_vanishes_iff_killing(sasakian_r3, weak_contact_h, sessions):
     ses = sessions(sasakian_r3)
-    assert ses.sup_pointwise(lambda j: j.N3) < 1e-7
+    assert ses.sup_pointwise(lambda j: j.N3)[1] < 1e-7
     assert ses.flag_residuals["weak_K_contact"] < 1e-7
     ses_h = sessions(weak_contact_h, FAST_PLAN)
-    assert ses_h.sup_pointwise(lambda j: j.N3) > 1e-2
+    assert ses_h.sup_pointwise(lambda j: j.N3)[1] > 1e-2
     assert ses_h.flag_residuals["weak_K_contact"] > 1e-2
 
 
@@ -243,7 +243,7 @@ def n5_field_oracle(s, Xf, Yf, Zf, p):
 
 def test_n5_vanishes_for_identity_q(contact_h, sessions):
     ses = sessions(contact_h, FAST_PLAN)
-    assert ses.sup_pointwise(lambda j: j.N5) < 1e-12
+    assert ses.sup_pointwise(lambda j: j.N5)[1] < 1e-12
 
 
 def test_n5_antisymmetric_in_last_two_slots(weak_contact_h, sessions):
@@ -376,18 +376,18 @@ def test_n5_extension_dependence_is_exactly_the_commutator_defect(weak_contact_h
 def test_h_vanishes_on_weak_sasakian(sasakian_r3, weak_sasakian_l2, sessions):
     for s in (sasakian_r3, weak_sasakian_l2):
         ses = sessions(s)
-        assert ses.sup_pointwise(lambda j: j.h) < 1e-7
+        assert ses.sup_pointwise(lambda j: j.h)[1] < 1e-7
 
 
 def test_h_xi_zero_everywhere(weak_contact_h, sessions):
     ses = sessions(weak_contact_h, FAST_PLAN)
-    assert ses.sup_pointwise(lambda j: st.matvec(j.h, j.xi)) < 1e-10
+    assert ses.sup_pointwise(lambda j: st.matvec(j.h, j.xi))[1] < 1e-10
 
 
 def test_a_and_b_vanish_for_identity_q(contact_h, sessions):
     ses = sessions(contact_h, FAST_PLAN)
-    assert ses.sup_pointwise(lambda j: j.B_op) < 1e-10
-    assert ses.sup_pointwise(lambda j: j.A_op) < 1e-10
+    assert ses.sup_pointwise(lambda j: j.B_op)[1] < 1e-10
+    assert ses.sup_pointwise(lambda j: j.A_op)[1] < 1e-10
 
 
 def test_h_tensor_api(sasakian_r3):
@@ -419,14 +419,14 @@ ALL_IDENTITY_STRUCTURES = ("sasakian_r3", "sasakian_r5", "weak_sasakian_l2",
 def test_master_identity_on_bundled(name, request, sessions):
     s = request.getfixturevalue(name)
     ses = sessions(s)
-    assert ses.sup_contracted(st.master_identity_residual, 3) < 1e-6
+    assert ses.sup_contracted(st.master_identity_residual, 3)[1] < 1e-6
 
 
 def test_master_identity_on_weak_h_fixture(weak_contact_h, sessions):
     ses = sessions(weak_contact_h, FAST_PLAN)
-    assert ses.sup_contracted(st.master_identity_residual, 3) < 1e-6
-    assert ses.sup_contracted(st.contact_identity_residual, 3) < 1e-6
-    assert ses.sup_contracted(st.xi_direction_identity_residual, 2) < 1e-6
+    assert ses.sup_contracted(st.master_identity_residual, 3)[1] < 1e-6
+    assert ses.sup_contracted(st.contact_identity_residual, 3)[1] < 1e-6
+    assert ses.sup_contracted(st.xi_direction_identity_residual, 2)[1] < 1e-6
 
 
 def test_master_identity_with_every_term_nonzero(
@@ -436,27 +436,27 @@ def test_master_identity_with_every_term_nonzero(
     N2 eta(X) term (crossed fixtures), the d(eta) eta terms, and N5
     (deformed h-fixture)."""
     ses_c = sessions(crossed_r5, FAST_PLAN)
-    assert ses_c.sup_pointwise(lambda j: j.N2) > 0.5
-    assert ses_c.sup_pointwise(lambda j: j.N1) > 0.5
-    assert ses_c.sup_contracted(st.master_identity_residual, 3) < 1e-6
+    assert ses_c.sup_pointwise(lambda j: j.N2)[1] > 0.5
+    assert ses_c.sup_pointwise(lambda j: j.N1)[1] > 0.5
+    assert ses_c.sup_contracted(st.master_identity_residual, 3)[1] < 1e-6
 
     ses_f = sessions(crossed_conformal_r5, FAST_PLAN)
-    assert ses_f.sup_pointwise(lambda j: j.dPhi) > 0.01
-    assert ses_f.sup_pointwise(lambda j: j.N2) > 0.5
-    assert ses_f.sup_pointwise(lambda j: j.dEta) > 0.5
-    assert ses_f.sup_contracted(st.master_identity_residual, 3) < 1e-6
+    assert ses_f.sup_pointwise(lambda j: j.dPhi)[1] > 0.01
+    assert ses_f.sup_pointwise(lambda j: j.N2)[1] > 0.5
+    assert ses_f.sup_pointwise(lambda j: j.dEta)[1] > 0.5
+    assert ses_f.sup_contracted(st.master_identity_residual, 3)[1] < 1e-6
 
     ses_w = sessions(weak_contact_h, FAST_PLAN)
-    assert ses_w.sup_pointwise(lambda j: j.N5) > 0.1
-    assert ses_w.sup_contracted(st.master_identity_residual, 3) < 1e-6
+    assert ses_w.sup_pointwise(lambda j: j.N5)[1] > 0.1
+    assert ses_w.sup_contracted(st.master_identity_residual, 3)[1] < 1e-6
 
 
 def test_h_lemma_identities(weak_contact_h, contact_h, sessions):
     for s in (weak_contact_h, contact_h):
         ses = sessions(s, FAST_PLAN)
-        assert ses.sup_contracted(st.h_adjoint_identity_residual, 2) < 1e-6
-        assert ses.sup_contracted(st.h_anticommutator_identity_residual, 2) < 1e-6
-        assert ses.sup_contracted(st.q_nabla_xi_identity_residual, 2) < 1e-6
+        assert ses.sup_contracted(st.h_adjoint_identity_residual, 2)[1] < 1e-6
+        assert ses.sup_contracted(st.h_anticommutator_identity_residual, 2)[1] < 1e-6
+        assert ses.sup_contracted(st.q_nabla_xi_identity_residual, 2)[1] < 1e-6
 
 
 def test_theorem1_consequences_on_normal_examples(
@@ -465,10 +465,10 @@ def test_theorem1_consequences_on_normal_examples(
     for s in (sasakian_r3, sasakian_r5, weak_sasakian_l2, product_cosymplectic):
         ses = sessions(s)
         assert ses.flag_residuals["normal"] <= 1e-6
-        assert ses.sup_pointwise(lambda j: j.N3) <= 1e-5
-        assert ses.sup_pointwise(lambda j: j.N4) <= 1e-5
+        assert ses.sup_pointwise(lambda j: j.N3)[1] <= 1e-5
+        assert ses.sup_pointwise(lambda j: j.N4)[1] <= 1e-5
         # the nu-weighted reduction holds on every normal example
-        assert ses.sup_contracted(st.n2_reduction_residual_nu_weighted, 2) < 1e-6
+        assert ses.sup_contracted(st.n2_reduction_residual_nu_weighted, 2)[1] < 1e-6
 
 
 def test_theorem1_stated_reduction_and_its_asymmetry_flag(
@@ -476,14 +476,14 @@ def test_theorem1_stated_reduction_and_its_asymmetry_flag(
     # As stated, the reduction holds when Qtilde = 0 ...
     for s in (sasakian_r3, sasakian_r5):
         ses = sessions(s)
-        assert ses.sup_contracted(st.n2_reduction_residual, 2) < 1e-6
+        assert ses.sup_contracted(st.n2_reduction_residual, 2)[1] < 1e-6
     # ... but for nu = 2 its residual is a purely symmetric artifact, which
     # the engine reports as a flag instead of silently correcting.
     ses = sessions(weak_sasakian_l2)
-    stated = ses.sup_contracted(st.n2_reduction_residual, 2)
+    stated = ses.sup_contracted(st.n2_reduction_residual, 2)[1]
     antisym = ses.sup_contracted(
         lambda j: 0.5 * (st.n2_reduction_residual(j)
-                         - st.transpose(st.n2_reduction_residual(j))), 2)
+                         - st.transpose(st.n2_reduction_residual(j))), 2)[1]
     assert stated > 1e-3
     assert antisym < 1e-10
 
@@ -491,14 +491,14 @@ def test_theorem1_stated_reduction_and_its_asymmetry_flag(
 def test_sasakian_nabla_phi_formula(sasakian_r3, weak_sasakian_l2, sessions):
     for s in (sasakian_r3, weak_sasakian_l2):
         ses = sessions(s)
-        assert ses.sup_contracted(st.sasakian_nabla_phi_residual, 3) < 1e-6
+        assert ses.sup_contracted(st.sasakian_nabla_phi_residual, 3)[1] < 1e-6
 
 
 def test_cosymplectic_identities(product_cosymplectic, sessions):
     ses = sessions(product_cosymplectic)
-    assert ses.sup_contracted(st.cosymplectic_nabla_phi_residual, 3) < 1e-8
-    assert ses.sup_contracted(st.cosymplectic_dphi_residual, 3) < 1e-8
-    assert ses.sup_contracted(st.cosymplectic_torsion_residual, 3) < 1e-8
+    assert ses.sup_contracted(st.cosymplectic_nabla_phi_residual, 3)[1] < 1e-8
+    assert ses.sup_contracted(st.cosymplectic_dphi_residual, 3)[1] < 1e-8
+    assert ses.sup_contracted(st.cosymplectic_torsion_residual, 3)[1] < 1e-8
 
 
 def test_classical_nabla_phi_closed_form(sasakian_r3, sessions):
