@@ -63,7 +63,7 @@ class Classification:
 def classify(s: Structure, plan: SamplePlan = DEFAULT_PLAN,
              tol: float = DEFAULT_TOL, session: Session | None = None) -> Classification:
     """Evaluate every classification flag of a validated structure."""
-    ses = session or Session(s, plan, tol)
+    ses = session or Session(s, plan)
     flags = {name: FlagResult(name, residual, tol, residual <= tol)
              for name, residual in ses.flag_residuals.items()}
     lam, residual = ses.q_scalar_on_D
@@ -274,7 +274,7 @@ CHECK_IDS = tuple(check_id for check_id, _ in REGISTRY)
 def verify(s: Structure, which: str = "all", plan: SamplePlan = DEFAULT_PLAN,
            tol: float = DEFAULT_TOL, session: Session | None = None) -> CheckReport:
     """Run one registered check (by id) or all of them."""
-    ses = session or Session(s, plan, tol)
+    ses = session or Session(s, plan)
     if which == "all":
         selected = REGISTRY
     else:

@@ -310,10 +310,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse keeps no state between parses, so one parser serves every call
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one `wact` command line; return its exit code.
+
+    May be called repeatedly in one process: every call parses with
+    `PARSER`, built once at import, and nothing else is kept from one call
+    to the next.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
     try:

@@ -22,9 +22,10 @@ from .chart import Chart, DEFAULT_PLAN, SamplePlan, sample
 from .errors import (EngineInconsistencyError, NotContactMetricError,
                      NotParallelError, NotWeakSasakianError, RankDeficientError,
                      SingularMetricError, ValidationFailedError)
-from .structure import (DEFAULT_TOL, Session, Structure, ValidationReport, blocks,
-                        cholesky_defect, christoffel, matvec, nabla_11,
-                        numeric_rank, sup_at, transpose, validate)
+from .structure import (DEFAULT_TOL, Session, Structure, ValidationReport,
+                        _point_sup, blocks, cholesky_defect, christoffel,
+                        matvec, nabla_11, numeric_rank, sup_at, transpose,
+                        validate)
 from .tensor import TensorField
 
 
@@ -160,7 +161,7 @@ def extract_sasakian(s: Structure, plan: SamplePlan = DEFAULT_PLAN,
     """
     if s.nu is None:
         raise ValueError("structure must be validated before extraction")
-    ses = session or Session(s, plan, tol)
+    ses = session or Session(s, plan)
     contact = ses.flag_residuals["weak_contact_metric"]
     if contact > tol:
         raise NotWeakSasakianError("fundamental 2-form equals d(eta)", contact)
@@ -341,7 +342,7 @@ def contact_vector_field(s: Structure, X: TensorField,
         raise ValueError("structure must be validated before the field test")
     if tuple(X.valence) != (1, 0):
         raise ValueError("X must be a vector field")
-    ses = session or Session(s, plan, tol)
+    ses = session or Session(s, plan)
     contact = ses.flag_residuals["weak_contact_metric"]
     if contact > tol:
         raise NotContactMetricError(
@@ -356,13 +357,13 @@ def contact_vector_field(s: Structure, X: TensorField,
               + np.einsum("...i,...ik->...k", j.eta, xd))
         grad_f = matvec(j.g_inv, df)
         resid = matvec(j.Q, xv) + 0.5 * matvec(j.phi, grad_f) - nu * f[:, None] * j.xi
-        residuals.append(np.max(np.abs(resid), axis=-1))
+        residuals.append(_point_sup(np.abs(resid)))
         sigma = np.einsum("...i,...i->...", j.xi, df)
         sigmas.append(np.abs(sigma))
         lie_eta = (np.einsum("...a,...ia->...i", xv, j.d_eta_partials)
                    + np.einsum("...a,...ai->...i", j.eta, xd))
         lie_res.append(np.max(np.abs(lie_eta - sigma[:, None] * j.eta)))
-    index, worst = sup_at(np.concatenate(residuals))
+    index, worst = ses._over_blocks(residuals)
     worst_point = tuple(float(v) for v in ses.points[index])
     sigma_sup = sup_at(np.concatenate(sigmas))[1]
     lie_res = sup_at(lie_res)[1]

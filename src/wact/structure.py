@@ -833,11 +833,9 @@ class Session:
     nu is not resolved yet is accepted, but reducing any key needs nu.
     """
 
-    def __init__(self, s: Structure, plan: SamplePlan = DEFAULT_PLAN,
-                 tol: float = DEFAULT_TOL):
+    def __init__(self, s: Structure, plan: SamplePlan = DEFAULT_PLAN):
         self.structure = s
         self.plan = plan
-        self.tol = tol
         self.points = sample(s.chart, plan)
         self._sups = {}
 
@@ -1016,7 +1014,7 @@ def validate(s: Structure, plan: SamplePlan = DEFAULT_PLAN,
     Session that reduced the rows: `classify`, `verify` and the constructions
     take it and reuse its block jets and sups.
     """
-    ses = Session(s, plan, tol)
+    ses = Session(s, plan)
     if s.nu is None:
         ses.structure = s.with_nu(ses.jets[0].nu_at_point[0])
         for j in ses.jets:

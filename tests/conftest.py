@@ -142,10 +142,10 @@ def crossed_conformal_r5():
 def sessions():
     cache = {}
 
-    def get(structure, plan=PLAN, tol=TOL) -> Session:
+    def get(structure, plan=PLAN) -> Session:
         key = (id(structure), plan)
         if key not in cache:
-            cache[key] = Session(structure, plan, tol)
+            cache[key] = Session(structure, plan)
         return cache[key]
 
     return get

@@ -139,7 +139,7 @@ def test_criterion_6_cosymplectic_suite():
     phit = TensorField.from_sources((1, 1), [["0", "-2"], ["2", "0"]], plane)
     metric = TensorField.constant((0, 2), np.eye(2), plane)
     s = product_construction(phit, metric, 4.0, plan=PLAN, tol=1e-8)
-    ses = Session(s, PLAN, TOL)
+    ses = Session(s, PLAN)
     assert ses.sup_pointwise(lambda j: j.nabla_phi)[1] <= 1e-8
     assert ses.sup_pointwise(lambda j: j.dEta)[1] <= 1e-8
     assert ses.sup_pointwise(lambda j: j.dPhi)[1] <= 1e-8

@@ -240,7 +240,7 @@ def test_session_requires_resolved_nu(sasakian_r3):
     # a Session accepts an open nu (validate resolves it through one), but
     # no key is reduced, and no classification or check runs, before that
     raw = dataclasses.replace(sasakian_r3, nu=None)
-    ses = Session(raw, FAST_PLAN, TOL)
+    ses = Session(raw, FAST_PLAN)
     for key in RESIDUALS:
         with pytest.raises(ValueError):
             ses.residual(key)
@@ -271,7 +271,7 @@ def test_each_residual_is_reduced_once_per_session(sasakian_r5, monkeypatch):
             calls[_name] += 1
             return _reducer(self, *args)
         monkeypatch.setattr(Session, name, counted)
-    ses = Session(sasakian_r5, FAST_PLAN, TOL)
+    ses = Session(sasakian_r5, FAST_PLAN)
     verify(sasakian_r5, "all", FAST_PLAN, TOL, session=ses)
     classify(sasakian_r5, FAST_PLAN, TOL, session=ses)
     assert calls["sup_pointwise"] <= 22
@@ -289,7 +289,7 @@ def test_t1_builds_the_n2_reduction_once_per_block(sasakian_r5, monkeypatch):
     def profile(frame, event, arg):
         if event == "call" and frame.f_code is code:
             builds.append(len(frame.f_locals["j"].point))
-    ses = Session(sasakian_r5, FAST_PLAN, TOL)
+    ses = Session(sasakian_r5, FAST_PLAN)
     sys.setprofile(profile)
     try:
         result = verify(sasakian_r5, "T1", FAST_PLAN, TOL, session=ses).result("T1")

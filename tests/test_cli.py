@@ -1,5 +1,6 @@
 """Command line interface: exit codes, reports, determinism, pipelines."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wact import calculus, structure
+from wact import calculus, cli, structure
 from wact.cli import main
 from wact.fileio import bundled_names, bundled_path, load_bundled, structure_to_dict
 
@@ -83,6 +84,65 @@ def test_missing_file_exits_one(capsys):
 
 def test_usage_error_exits_one(capsys):
     assert run("deform", R3) == 1  # missing required flags
+
+
+def test_main_builds_no_parser(monkeypatch, capsys):
+    # the argparse tree is built once, when wact.cli is imported
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    codes = [run("bundled", "--list"), run("check", R3, *FAST), run("check", R3, "--tol", "nan"),
+             run("deform", R3), run("--help")]
+    assert codes == [0, 0, 1, 1, 0]
+    assert built == []
+
+
+# flags set in one call and left out of the next, usage errors and help output:
+# what a reused parser could carry from one call into a later one
+SHARED_PARSER_SEQUENCE = [
+    ("verify", R3, "--check", "T1", *FAST),
+    ("verify", R3, *FAST),
+    ("deform", R3, "--lambda", "2", "--lambda-prime", "2", "--inverse", "-o", "inv.json", *FAST),
+    ("deform", R3, "--lambda", "2", "--lambda-prime", "2", "-o", "fwd.json", *FAST),
+    ("classify", R3, *FAST, "--json", "c.json"),
+    ("classify", R3, *FAST),
+    (),
+    ("frobnicate",),
+    ("deform", R3, "--lambda", "2", "--lambda-prime", "2"),
+    ("check", R3, "--tol", "nan"),
+    ("check", R3, "--points", "x"),
+    ("--help",),
+    ("check", "--help"),
+    ("bundled", "--list"),
+    ("cvf", R3, "--field", "0;2;2*x", *FAST),
+]
+
+
+def test_shared_parser_keeps_nothing_between_calls(tmp_path, monkeypatch, capsys):
+    def outcomes(fresh: bool) -> tuple:
+        work = tmp_path / ("fresh" if fresh else "shared")
+        work.mkdir()
+        monkeypatch.chdir(work)
+        seen = []
+        for argv in SHARED_PARSER_SEQUENCE:
+            if fresh:
+                monkeypatch.setattr(cli, "PARSER", cli.build_parser())
+            code = run(*argv)
+            out, err = capsys.readouterr()
+            err = "".join(line for line in err.splitlines(keepends=True)
+                          if not line.startswith("wall time:"))
+            seen.append((argv, code, out, err))
+        files = {p.name: p.read_bytes() for p in sorted(work.iterdir())}
+        return seen, files
+
+    shared = outcomes(False)
+    assert [code for _, code, _, _ in shared[0]] == [0] * 6 + [1] * 5 + [0] * 4
+    assert sorted(shared[1]) == ["c.json", "fwd.json", "inv.json"]
+    assert shared == outcomes(True)
 
 
 def test_classify_table_and_json(tmp_path, capsys):

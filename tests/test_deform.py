@@ -92,7 +92,7 @@ def test_extract_sasakian_roundtrip(sasakian_r3, weak_sasakian_l2):
     assert c.is_set("normal")
     assert c.is_set("weak_contact_metric")
     assert abs(c["Q_scalar_on_D"].extra["lambda"] - 1.0) < 1e-9
-    ses = Session(out, FAST_PLAN, TOL)
+    ses = Session(out, FAST_PLAN)
     assert ses.sup_pointwise(lambda j: j.Q - np.eye(3))[1] <= 1e-8
 
 
@@ -146,7 +146,7 @@ def test_product_classical_case():
     c = classify(s, FAST_PLAN, TOL)
     assert c.is_set("weak_cosymplectic")
     assert abs(c["Q_scalar_on_D"].extra["lambda"] - 1.0) < 1e-10
-    ses = Session(s, FAST_PLAN, TOL)
+    ses = Session(s, FAST_PLAN)
     assert ses.sup_pointwise(lambda j: j.Q - np.eye(3))[1] < 1e-12
 
 
@@ -175,7 +175,7 @@ def test_product_on_curved_plane_metric():
         (0, 2), [["(1+x^2/4)^2", "0"], ["0", "(1+x^2/4)^2"]], plane)
     phit = TensorField.from_sources((1, 1), [["0", "-2"], ["2", "0"]], plane)
     s = product_construction(phit, metric, 4.0, plan=FAST_PLAN, tol=1e-8)
-    ses = Session(s, FAST_PLAN, TOL)
+    ses = Session(s, FAST_PLAN)
     assert ses.sup_pointwise(lambda j: j.nabla_phi)[1] <= 1e-8
     assert ses.sup_pointwise(lambda j: j.dPhi)[1] <= 1e-8
     assert ses.sup_pointwise(lambda j: j.dEta)[1] <= 1e-8

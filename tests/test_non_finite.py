@@ -30,7 +30,7 @@ XYZ = ("x", "y", "z")
 @pytest.fixture
 def session():
     s = validate(load_bundled("sasakian_r3"), PLAN40).raise_for_violations().structure
-    return Session(s, PLAN40, TOL)
+    return Session(s, PLAN40)
 
 
 def _nan_after_first(ses, shape=()):
