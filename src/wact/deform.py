@@ -8,6 +8,8 @@
 Deformations act on component expressions through the splitting
 X = X^T + eta(X) xi, so the blockwise definition extends to a total map on
 the tangent bundle; outputs are re-validated before they are returned.
+The constructions are written as array algebra on AST nodes (`@`,
+broadcasting, slice assignment on numpy object arrays; see `expr.Node`).
 """
 
 from __future__ import annotations
@@ -41,25 +43,8 @@ class DeformParams:
             raise ValueError("deformation factors must be strictly positive")
 
 
-def _nodes(field: TensorField) -> np.ndarray:
-    out = np.empty(field.comps.shape, dtype=object)
-    for idx in np.ndindex(field.comps.shape):
-        out[idx] = field.comps[idx].node
-    return out
-
-
 def _field(valence, nodes, chart) -> TensorField:
-    comps = np.empty(nodes.shape, dtype=object)
-    for idx in np.ndindex(nodes.shape):
-        comps[idx] = ex.from_node(nodes[idx], chart.coords)
-    return TensorField(valence, comps, chart)
-
-
-def _scale_nodes(nodes: np.ndarray, factor: float) -> np.ndarray:
-    out = np.empty(nodes.shape, dtype=object)
-    for idx in np.ndindex(nodes.shape):
-        out[idx] = ex.make_mul(ex.make_num(factor), nodes[idx])
-    return out
+    return TensorField(valence, ex.expr_array(nodes, chart.coords), chart)
 
 
 def _forward(s: Structure, lam: float, lam_prime: float, name: str,
@@ -68,53 +53,24 @@ def _forward(s: Structure, lam: float, lam_prime: float, name: str,
 
     Returns the passing validation report of the deformed structure.
     """
-    dim = s.chart.dim
-    phi = _nodes(s.phi)
-    Q = _nodes(s.Q)
-    xi = _nodes(s.xi)
-    eta = _nodes(s.eta)
-    g = _nodes(s.g)
+    phi, Q, xi, eta, g = (ex.node_array(f.comps) for f in (s.phi, s.Q, s.xi, s.eta, s.g))
     nu = s.nu
 
-    phi_out = _scale_nodes(phi, 1.0 / math.sqrt(lam))
+    phi_out = ex.make_num(1.0 / math.sqrt(lam)) * phi
 
     # (Q xi)^i and c_j = g(xi, e_j), gxx = g(xi, xi) as expressions
-    q_xi = np.empty(dim, dtype=object)
-    c = np.empty(dim, dtype=object)
-    for i in range(dim):
-        acc = ex.make_num(0.0)
-        for a in range(dim):
-            acc = ex.make_add(acc, ex.make_mul(Q[i, a], xi[a]))
-        q_xi[i] = acc
-    for jx in range(dim):
-        acc = ex.make_num(0.0)
-        for m in range(dim):
-            acc = ex.make_add(acc, ex.make_mul(g[m, jx], xi[m]))
-        c[jx] = acc
-    gxx = ex.make_num(0.0)
-    for jx in range(dim):
-        gxx = ex.make_add(gxx, ex.make_mul(c[jx], xi[jx]))
+    q_xi = Q @ xi
+    c = g.T @ xi
+    gxx = c @ xi
+    eta_i, eta_j = eta[:, None], eta[None, :]
 
     # Q'(X) = (1/lam) Q(X - eta(X) xi) + (nu / lam') eta(X) xi
-    q_out = np.empty((dim, dim), dtype=object)
-    for i in range(dim):
-        for jx in range(dim):
-            block = ex.make_sub(Q[i, jx], ex.make_mul(eta[jx], q_xi[i]))
-            part1 = ex.make_mul(ex.make_num(1.0 / lam), block)
-            part2 = ex.make_mul(ex.make_num(nu / lam_prime),
-                                ex.make_mul(eta[jx], xi[i]))
-            q_out[i, jx] = ex.make_add(part1, part2)
+    q_out = (ex.make_num(1.0 / lam) * (Q - eta_j * q_xi[:, None])
+             + ex.make_num(nu / lam_prime) * (eta_j * xi[:, None]))
 
     # g' = g + (sqrt(lam) - 1) * g(P . , P . )
-    factor = math.sqrt(lam) - 1.0
-    g_out = np.empty((dim, dim), dtype=object)
-    for i in range(dim):
-        for jx in range(dim):
-            block = ex.make_sub(g[i, jx], ex.make_mul(eta[i], c[jx]))
-            block = ex.make_sub(block, ex.make_mul(eta[jx], c[i]))
-            block = ex.make_add(block, ex.make_mul(ex.make_mul(eta[i], eta[jx]), gxx))
-            g_out[i, jx] = ex.make_add(g[i, jx],
-                                       ex.make_mul(ex.make_num(factor), block))
+    block = g - eta_i * c[None, :] - eta_j * c[:, None] + eta_i * eta_j * gxx
+    g_out = g + ex.make_num(math.sqrt(lam) - 1.0) * block
 
     out = Structure(
         chart=s.chart,
@@ -262,41 +218,24 @@ def product_construction(phitilde: TensorField, g_plane: TensorField, nu: float,
     chart = Chart(plane.coords + ("t",), plane.lows + (float(t_domain[0]),),
                   plane.highs + (float(t_domain[1]),))
 
-    phi_nodes = np.full((dim, dim), None, dtype=object)
-    q_nodes = np.full((dim, dim), None, dtype=object)
-    g_nodes = np.full((dim, dim), None, dtype=object)
     zero = ex.make_num(0.0)
-    pt_nodes = _nodes(phitilde)
-    gp_nodes = _nodes(g_plane)
-    for i in range(dim):
-        for jx in range(dim):
-            phi_nodes[i, jx] = zero
-            q_nodes[i, jx] = zero
-            g_nodes[i, jx] = zero
-    minus_sq = np.empty((two_n, two_n), dtype=object)
-    for i in range(two_n):
-        for jx in range(two_n):
-            acc = ex.make_num(0.0)
-            for a in range(two_n):
-                acc = ex.make_add(acc, ex.make_mul(pt_nodes[i, a], pt_nodes[a, jx]))
-            minus_sq[i, jx] = ex.make_neg(acc)
-    for i in range(two_n):
-        for jx in range(two_n):
-            phi_nodes[i, jx] = pt_nodes[i, jx]
-            q_nodes[i, jx] = minus_sq[i, jx]
-            g_nodes[i, jx] = gp_nodes[i, jx]
+    phi_nodes, q_nodes, g_nodes = (np.full((dim, dim), zero, dtype=object)
+                                   for _ in range(3))
+    pt_nodes = ex.node_array(phitilde.comps)
+    phi_nodes[:two_n, :two_n] = pt_nodes
+    q_nodes[:two_n, :two_n] = -(pt_nodes @ pt_nodes)
+    g_nodes[:two_n, :two_n] = ex.node_array(g_plane.comps)
     q_nodes[two_n, two_n] = ex.make_num(float(nu))
     g_nodes[two_n, two_n] = ex.make_num(1.0)
-
-    xi_nodes = np.array([zero] * two_n + [ex.make_num(1.0)], dtype=object)
-    eta_nodes = np.array([zero] * two_n + [ex.make_num(1.0)], dtype=object)
+    t_axis = np.full(dim, zero, dtype=object)  # xi = d/dt and eta = dt
+    t_axis[two_n] = ex.make_num(1.0)
 
     out = Structure(
         chart=chart,
         phi=_field((1, 1), phi_nodes, chart),
         Q=_field((1, 1), q_nodes, chart),
-        xi=_field((1, 0), xi_nodes, chart),
-        eta=_field((0, 1), eta_nodes, chart),
+        xi=_field((1, 0), t_axis, chart),
+        eta=_field((0, 1), t_axis, chart),
         g=_field((0, 2), g_nodes, chart),
         nu=float(nu),
         name=name,
@@ -368,12 +307,8 @@ def contact_vector_field(s: Structure, X: TensorField,
     sigma_sup = sup_at(np.concatenate(sigmas))[1]
     lie_res = sup_at(lie_res)[1]
 
-    f_nodes = ex.make_num(0.0)
-    eta_nodes = _nodes(s.eta)
-    x_nodes = _nodes(X)
-    for a in range(s.chart.dim):
-        f_nodes = ex.make_add(f_nodes, ex.make_mul(eta_nodes[a], x_nodes[a]))
-    f_source = ex.from_node(f_nodes, s.chart.coords).to_source()
+    f = ex.node_array(s.eta.comps) @ ex.node_array(X.comps)
+    f_source = ex.ScalarExpr(f, s.chart.coords).to_source()
 
     return CvfResult(
         is_weak_contact=worst <= tol,

@@ -140,9 +140,10 @@ def ipow(x, n: int):
     """Integer power by repeated squaring; valid for any base."""
     if n == 0:
         return 1.0
-    if n < 0:
-        check(real_part(x) == 0.0, "zero raised to a negative power")
-        return 1.0 / ipow(x, -n)
+    if n < 0:  # the power, not only the base, may be zero: it can underflow
+        power = ipow(x, -n)
+        check(real_part(power) == 0.0, "zero raised to a negative power")
+        return 1.0 / power
     result = None
     base = x
     while True:

@@ -23,6 +23,12 @@ length.  An expression whose AST holds no coordinate is `passive`: its
 derivatives are zero, so field jets evaluate it once as a float, without
 dual numbers, and the text of a failed finiteness check is built only on
 failure.
+
+AST nodes support `+`, `-`, `*` and unary `-` through the folding `make_*`
+constructors, so a numpy object array of nodes is an expression matrix:
+`A @ v` folds each row as ((a0*v0 + a1*v1) + a2*v2), broadcasting forms
+outer products, and `make_num(c) * A` scales.  `node_array` and
+`expr_array` convert between arrays of expressions and arrays of nodes.
 """
 
 from __future__ import annotations
@@ -55,33 +61,55 @@ _FUNC_IMPL = {
 # AST
 # --------------------------------------------------------------------------
 
+class Node:
+    """Base of the AST node classes.
+
+    `+`, `-`, `*` and unary `-` build a node by `make_add`, `make_sub`,
+    `make_mul` and `make_neg`, so numpy object arrays of nodes do matrix
+    algebra (`@`, broadcasting) on expressions.  An operand that is not a
+    node, a float included, is refused; constants come from `make_num`.
+    """
+
+    def __add__(self, other):
+        return make_add(self, other) if isinstance(other, Node) else NotImplemented
+
+    def __sub__(self, other):
+        return make_sub(self, other) if isinstance(other, Node) else NotImplemented
+
+    def __mul__(self, other):
+        return make_mul(self, other) if isinstance(other, Node) else NotImplemented
+
+    def __neg__(self):
+        return make_neg(self)
+
+
 @dataclass(frozen=True)
-class Num:
+class Num(Node):
     value: float
     pos: int = field(default=-1, compare=False)
 
 
 @dataclass(frozen=True)
-class Coord:
+class Coord(Node):
     name: str
     index: int
     pos: int = field(default=-1, compare=False)
 
 
 @dataclass(frozen=True)
-class Const:
+class Const(Node):
     name: str
     pos: int = field(default=-1, compare=False)
 
 
 @dataclass(frozen=True)
-class Unary:
+class Unary(Node):
     arg: object
     pos: int = field(default=-1, compare=False)
 
 
 @dataclass(frozen=True)
-class Bin:
+class Bin(Node):
     op: str
     left: object
     right: object
@@ -89,7 +117,7 @@ class Bin:
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(Node):
     fn: str
     arg: object
     pos: int = field(default=-1, compare=False)
@@ -563,9 +591,14 @@ def parse(source: str, coords) -> ScalarExpr:
     return ScalarExpr(node, names)
 
 
-def from_node(node, coords) -> ScalarExpr:
-    """Wrap an already-built AST node as an expression."""
-    return ScalarExpr(node, coords)
+def node_array(exprs: np.ndarray) -> np.ndarray:
+    """Object array of the AST nodes of an object array of expressions."""
+    return np.frompyfunc(lambda e: e.node, 1, 1)(exprs)
+
+
+def expr_array(nodes: np.ndarray, coords) -> np.ndarray:
+    """Object array of expressions over `coords` wrapping an array of nodes."""
+    return np.frompyfunc(lambda node: ScalarExpr(node, coords), 1, 1)(nodes)
 
 
 # --------------------------------------------------------------------------

@@ -76,18 +76,9 @@ def _parse_vector(raw, dim: int, coords, key: str, parsed: dict) -> np.ndarray:
 def _synthesize_q(phi: np.ndarray, eta: np.ndarray, xi: np.ndarray,
                   nu: float, coords) -> np.ndarray:
     """Q = -phi^2 + nu * eta (x) xi, built at the expression level."""
-    dim = phi.shape[0]
-    out = np.empty((dim, dim), dtype=object)
-    for i in range(dim):
-        for j in range(dim):
-            acc = ex.make_num(0.0)
-            for a in range(dim):
-                acc = ex.make_add(acc, ex.make_mul(phi[i, a].node, phi[a, j].node))
-            node = ex.make_add(ex.make_neg(acc),
-                               ex.make_mul(ex.make_num(nu),
-                                           ex.make_mul(eta[j].node, xi[i].node)))
-            out[i, j] = ex.from_node(node, coords)
-    return out
+    phi, eta, xi = (ex.node_array(a) for a in (phi, eta, xi))
+    return ex.expr_array(-(phi @ phi) + ex.make_num(nu) * (eta[None, :] * xi[:, None]),
+                         coords)
 
 
 def structure_from_dict(data: dict, default_name: str = "structure") -> Structure:

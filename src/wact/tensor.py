@@ -12,7 +12,7 @@ import numpy as np
 
 from .chart import BaseChart
 from .errors import DomainError
-from .expr import ScalarExpr, as_points, parse
+from .expr import ScalarExpr, as_points, expr_array, make_num, parse
 
 
 @dataclass(frozen=True)
@@ -69,11 +69,8 @@ class TensorField:
     @classmethod
     def constant(cls, valence, values, chart: BaseChart) -> "TensorField":
         """Field with constant numeric components."""
-        vals = np.asarray(values, dtype=float)
-        flat = np.empty(vals.shape, dtype=object)
-        for idx in np.ndindex(vals.shape):
-            flat[idx] = parse(_float_source(vals[idx]), chart.coords)
-        return cls(tuple(valence), flat, chart)
+        nodes = np.frompyfunc(make_num, 1, 1)(np.asarray(values, dtype=float))
+        return cls(tuple(valence), expr_array(nodes, chart.coords), chart)
 
     @classmethod
     def identity(cls, chart: BaseChart) -> "TensorField":
@@ -149,10 +146,3 @@ def _located(err: DomainError, name: str, idx: tuple, pts: np.ndarray) -> Domain
     where = name + "".join(f"[{i}]" for i in idx)
     coords = ", ".join(repr(float(v)) for v in point)
     return DomainError(f"{where}: {err.message} at sample point ({coords})", err.index)
-
-
-def _float_source(v: float) -> str:
-    if v == int(v) and abs(v) <= 1e15:
-        return str(int(v))
-    return repr(float(v))
-

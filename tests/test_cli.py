@@ -444,6 +444,18 @@ def test_non_finite_literal_is_a_named_error(tmp_path, capsys):
                                   "phi[0][1]", "1e400")
 
 
+def test_negative_power_that_underflows_is_a_named_error(tmp_path, capsys):
+    # (1e-200)^2 underflows to 0, and its reciprocal was a ZeroDivisionError traceback
+    data = json.loads(bundled_path("sasakian_r3").read_text())
+    data["phi"][0][0] = "(1e-200)^-2"
+    path = tmp_path / "underflow.json"
+    path.write_text(json.dumps(data))
+    assert run("check", str(path), *FAST) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "DomainError: phi[0][0]: zero raised to a negative power at sample point" in err
+
+
 def test_deeply_nested_component_is_a_named_error(tmp_path, capsys):
     # 2 000 nested parentheses ended in a RecursionError traceback
     data = json.loads(bundled_path("sasakian_r3").read_text())

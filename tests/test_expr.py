@@ -1,13 +1,16 @@
 """Expression language: parsing, evaluation, duals against finite differences."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
 from wact.chart import CounterStream
 from wact.dual import Dual
 from wact.errors import DomainError, ParseError, UnknownSymbolError
-from wact.expr import MAX_NESTING, parse
+from wact.expr import (MAX_NESTING, Num, ScalarExpr, make_add, make_mul, make_neg,
+                       make_num, make_sub, parse)
 
 XYZ = ("x", "y", "z")
 
@@ -394,3 +397,78 @@ def test_long_flat_chains_parse_evaluate_and_print(terms):
     product = parse("*".join(["y"] * terms), XYZ)
     assert product.evaluate(p) == 0.5 ** terms and product.jet1(p)[0] == 0.5 ** terms
     assert not total.passive and parse("+".join(["1"] * terms), XYZ).passive
+
+
+@pytest.mark.parametrize("source, point", [
+    ("(1e-200)^-2", (0.0, 0.0, 0.0)),    # no coordinate: evaluated once as a float
+    ("(x*1e-200)^-2", (0.5, 0.0, 0.0)),  # with duals
+])
+def test_negative_power_that_underflows_is_a_domain_error(source, point):
+    # the base is nonzero, but its square underflows to 0: a ZeroDivisionError
+    e = parse(source, XYZ)
+    with pytest.raises(DomainError, match="zero raised to a negative power"):
+        e.evaluate(point)
+    for jet in (e.jet1, e.jet2):
+        with pytest.raises(DomainError, match="zero raised to a negative power"):
+            jet([point, point])
+
+
+# -- node arithmetic ----------------------------------------------------------
+
+NODE_POOL = ["0", "1", "-1", "2.5", "-0.5", "x", "-y", "sin(x)", "x*y", "z^2", "1/z",
+             "x+y"]
+
+
+def _node_matrix(rng, shape):
+    out = np.empty(shape, dtype=object)
+    for idx in np.ndindex(shape):
+        out[idx] = parse(rng.choice(NODE_POOL), XYZ).node
+    return out
+
+
+def _fold_product(a, b):
+    """Matrix product by the explicit fold from make_num(0.0)."""
+    out = np.empty((a.shape[0], b.shape[1]), dtype=object)
+    for i in range(a.shape[0]):
+        for j in range(b.shape[1]):
+            acc = make_num(0.0)
+            for k in range(a.shape[1]):
+                acc = make_add(acc, make_mul(a[i, k], b[k, j]))
+            out[i, j] = acc
+    return out
+
+
+def _text(node):
+    return ScalarExpr(node, XYZ).to_source()
+
+
+def test_object_matmul_of_nodes_prints_as_the_explicit_fold():
+    rng = random.Random(7)
+    for _ in range(200):
+        n, k, m = (rng.randint(1, 4) for _ in range(3))
+        a, b = _node_matrix(rng, (n, k)), _node_matrix(rng, (k, m))
+        got, want = a @ b, _fold_product(a, b)
+        assert [_text(v) for v in got.flat] == [_text(v) for v in want.flat]
+        v = b[:, 0]
+        assert [_text(x) for x in a @ v] == [_text(x) for x in want[:, 0]]
+
+
+def test_node_operators_are_the_folding_constructors():
+    x, y = parse("x", XYZ).node, parse("sin(y)", XYZ).node
+    two = make_num(2.0)
+    assert x + y == make_add(x, y) and x - y == make_sub(x, y) and x * y == make_mul(x, y)
+    assert two * x == make_mul(two, x) and x * make_num(0.0) == Num(0.0)
+    for node in (x, y, two, parse("-x", XYZ).node, parse("x-y", XYZ).node):
+        assert -node == make_neg(node)
+    assert -(-x) == x and -two == Num(-2.0)
+
+
+@pytest.mark.parametrize("other", [2.0, 2, "x", np.float64(2.0)])
+def test_node_arithmetic_refuses_operands_that_are_not_nodes(other):
+    # a constant must come from make_num, which checks that it is finite
+    x = parse("x", XYZ).node
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(TypeError):
+            op(x, other)
+        with pytest.raises(TypeError):
+            op(other, x)

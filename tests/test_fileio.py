@@ -181,6 +181,46 @@ def test_canonical_text_of_bundled_and_deformed_files_is_unchanged():
         "b20a207ea337180990a7525990263c1a3e2cb5a2fdbf90a7252aabefcef37ce4")
 
 
+PLANES = {
+    # perfbench's plane: the speed-2 rotation, flat metric, on a box
+    "speed2": ({"coordinates": ["u", "v"], "domain": {"u": [-1.5, 1.5], "v": [-0.75, 0.75]},
+                "phi": [["0", "-2"], ["2", "0"]], "metric": [["1", "0"], ["0", "1"]]}, 4.0),
+    "speeds2_3": ({"coordinates": ["x1", "x2", "y1", "y2"],
+                   "domain": {c: [-1, 1] for c in ("x1", "x2", "y1", "y2")},
+                   "phi": [["0", "-2", "0", "0"], ["2", "0", "0", "0"],
+                           ["0", "0", "0", "-3"], ["0", "0", "3", "0"]],
+                   "metric": [["1" if i == j else "0" for j in range(4)] for i in range(4)]},
+                  2.5),
+    "conformal": ({"coordinates": ["x", "y"], "domain": {"x": [-1, 1], "y": [-1, 1]},
+                   "phi": [["0", "-2"], ["2", "0"]],
+                   "metric": [["(1+x^2/4)^2", "0"], ["0", "(1+x^2/4)^2"]]}, 4.0),
+}
+
+
+def test_canonical_text_of_constructed_structures_is_unchanged(sasakian_r3):
+    # sha256 of the product files and the printed potential f = eta(X) of
+    # the field test, as the construction loops printed them
+    import hashlib
+    from wact.deform import contact_vector_field, product_construction
+    from wact.fileio import dump_json
+    from wact.tensor import TensorField
+    expected = {
+        "speed2":
+            "7b0761a7c79d7e03145cb43b04ba9b198d1944c2012104ac179b75988f0eb742",
+        "speeds2_3":
+            "998c103894dc111a71d3cfad06546018efe5dc7a2139b0e929964f35b069ebb6",
+        "conformal":
+            "16f1959b4beb226887eb40a1bb05324a7181e1f6e046906aef9654cb575e8cfa",
+    }
+    for key, (plane, nu) in PLANES.items():
+        s = product_construction(*plane_from_dict(plane), nu, plan=FAST_PLAN, tol=1e-8)
+        text = dump_json(structure_to_dict(s))
+        assert hashlib.sha256(text.encode()).hexdigest() == expected[key], key
+    for field, f_source in (("0;2;2*x", "1/2*(2*x)"), ("x;y;z^2", "-y/2*x+1/2*z^2")):
+        X = TensorField.from_sources((1, 0), field.split(";"), sasakian_r3.chart)
+        assert contact_vector_field(sasakian_r3, X, FAST_PLAN).f_source == f_source
+
+
 @pytest.mark.parametrize("nu", [True, False, float("inf")])
 def test_nu_must_be_a_finite_number_not_a_boolean(nu):
     # "nu": true read as 1.0
