@@ -14,7 +14,7 @@ tolerance itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -85,6 +85,7 @@ class CheckResult:
     tol: float
     hypothesis: dict
     details: dict
+    premise: float  # the hypothesis residual the implications rest on; not in the JSON
 
     def to_json_dict(self) -> dict:
         return {
@@ -119,8 +120,7 @@ class CheckReport:
         return {
             "schema": 1,
             "structure": self.structure_name,
-            "plan": {"count": self.plan.count, "seed": self.plan.seed,
-                     "margin": self.plan.margin},
+            "plan": asdict(self.plan),
             "tol": self.tol,
             "checks": [r.to_json_dict() for r in self.results],
         }
@@ -188,7 +188,8 @@ class Check:
                                       imp.kind))
         verdict, residual = _verdict_from(parts)
         details = {"implications": parts, **{key: ses.residual(key) for key in self.details}}
-        return CheckResult(self.id, self.claim, verdict, residual, tol, hypothesis, details)
+        return CheckResult(self.id, self.claim, verdict, residual, tol, hypothesis, details,
+                           premise)
 
 
 _KILLING_IFF_N3 = (

@@ -91,10 +91,6 @@ def _fmt_res(value) -> str:
     return f"{value:.3e}"
 
 
-def _validation_payload(report) -> dict:
-    return {"schema": 1, **report.to_json_dict()}
-
-
 def cmd_check(args) -> int:
     s = load_structure(args.file)
     report = validate(s, _plan(args), args.tol)
@@ -108,7 +104,7 @@ def cmd_check(args) -> int:
     _print_table(rows, ("axiom", "kind", "residual", "threshold", "verdict"))
     print(f"result: {'VALID' if report.ok else 'INVALID'} (nu = {report.nu:g})")
     if args.json:
-        _write_json(args.json, _validation_payload(report))
+        _write_json(args.json, {"schema": 1, **report.to_json_dict()})
     return EXIT_OK if report.ok else EXIT_MATH
 
 
@@ -151,8 +147,7 @@ def cmd_verify(args) -> int:
     report = verify(s, args.check, ses.plan, args.tol, session=ses)
     result = classify(s, ses.plan, args.tol, session=ses)
     rows = [(r.check_id, r.verdict, _fmt_res(r.residual),
-             _fmt_res(min(r.hypothesis.values()) if r.hypothesis else None),
-             r.claim[:68])
+             _fmt_res(r.premise), r.claim[:68])
             for r in report.results]
     print(f"structure: {s.name} (dim {s.chart.dim}, nu = {s.nu:g})")
     _print_table(rows, ("check", "verdict", "residual", "hypothesis", "claim"))

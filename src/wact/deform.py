@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -25,9 +26,8 @@ from .errors import (EngineInconsistencyError, NotContactMetricError,
                      NotParallelError, NotWeakSasakianError, RankDeficientError,
                      SingularMetricError, ValidationFailedError)
 from .structure import (DEFAULT_TOL, Session, Structure, ValidationReport,
-                        _point_sup, blocks, cholesky_defect, christoffel,
-                        matvec, nabla_11, numeric_rank, sup_at, transpose,
-                        validate)
+                        blocks, cholesky_defect, christoffel, matvec, nabla_11,
+                        numeric_rank, transpose, validate)
 from .tensor import TensorField
 
 
@@ -118,15 +118,11 @@ def extract_sasakian(s: Structure, plan: SamplePlan = DEFAULT_PLAN,
     if s.nu is None:
         raise ValueError("structure must be validated before extraction")
     ses = session or Session(s, plan)
-    contact = ses.flag_residuals["weak_contact_metric"]
-    if contact > tol:
-        raise NotWeakSasakianError("fundamental 2-form equals d(eta)", contact)
-    normal = ses.flag_residuals["normal"]
-    if normal > tol:
-        raise NotWeakSasakianError("N1 vanishes (normality)", normal)
-    q_res = ses.residual("q_is_nu_on_D")
-    if q_res > tol:
-        raise NotWeakSasakianError("Q restricted to D is nu * id", q_res)
+    for key, premise in (("weak_contact_metric", "fundamental 2-form equals d(eta)"),
+                         ("normal", "N1 vanishes (normality)"),
+                         ("q_is_nu_on_D", "Q restricted to D is nu * id")):
+        if ses.residual(key) > tol:
+            raise NotWeakSasakianError(premise, ses.residual(key))
 
     report = _forward(s, s.nu, s.nu, f"{s.name}_sasakian", plan, tol)
     out = report.structure
@@ -287,25 +283,23 @@ def contact_vector_field(s: Structure, X: TensorField,
         raise NotContactMetricError(
             f"structure is not weak contact metric (residual {contact:.3e})")
 
-    nu = s.nu
-    residuals, sigmas, lie_res = [], [], []
-    for j in ses.jets:
+    @cache  # one evaluation per block; the first reduction below runs it
+    def terms(j):
+        """|characterization|, |sigma| and |Lie_X eta - sigma eta| at each point."""
         xv, xd = X.jet(j.point, "field")
         f = np.einsum("...i,...i->...", j.eta, xv)
         df = (np.einsum("...ik,...i->...k", j.d_eta_partials, xv)
               + np.einsum("...i,...ik->...k", j.eta, xd))
         grad_f = matvec(j.g_inv, df)
-        resid = matvec(j.Q, xv) + 0.5 * matvec(j.phi, grad_f) - nu * f[:, None] * j.xi
-        residuals.append(_point_sup(np.abs(resid)))
+        resid = matvec(j.Q, xv) + 0.5 * matvec(j.phi, grad_f) - s.nu * f[:, None] * j.xi
         sigma = np.einsum("...i,...i->...", j.xi, df)
-        sigmas.append(np.abs(sigma))
         lie_eta = (np.einsum("...a,...ia->...i", xv, j.d_eta_partials)
                    + np.einsum("...a,...ai->...i", j.eta, xd))
-        lie_res.append(np.max(np.abs(lie_eta - sigma[:, None] * j.eta)))
-    index, worst = ses._over_blocks(residuals)
-    worst_point = tuple(float(v) for v in ses.points[index])
-    sigma_sup = sup_at(np.concatenate(sigmas))[1]
-    lie_res = sup_at(lie_res)[1]
+        return np.abs(resid), np.abs(sigma), np.abs(lie_eta - sigma[:, None] * j.eta)
+
+    index, worst = ses.reduce(terms(j)[0] for j in ses.jets)
+    sigma_sup = ses.reduce(terms(j)[1] for j in ses.jets)[1]
+    lie_res = ses.reduce(terms(j)[2] for j in ses.jets)[1]
 
     f = ex.node_array(s.eta.comps) @ ex.node_array(X.comps)
     f_source = ex.ScalarExpr(f, s.chart.coords).to_source()
@@ -317,6 +311,6 @@ def contact_vector_field(s: Structure, X: TensorField,
         sigma_sup=sigma_sup,
         lie_eta_residual=lie_res,
         f_source=f_source,
-        worst_point=worst_point,
+        worst_point=tuple(float(v) for v in ses.points[index]),
         tol=tol,
     )

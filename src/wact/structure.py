@@ -16,10 +16,10 @@ k-partial of phi^i_j).
 
 `RESIDUALS` is the one table of residuals: the axioms and their derived
 consequences that `validate` reports, then the flag and identity residuals
-of the analysis, each a function of a block jet with its reduction.  A
-`Session` reduces each key once per run to (point index, sup): the largest
-entry of each block, then the worst block, both by `sup_at`, where a NaN
-counts as the largest.
+of the analysis, each a function of a block jet with its reduction.
+`Session.reduce` is the one reducer from per-block arrays to (point index,
+sup), for each key once per run, the lower-bound row, Q|_D = lambda id and
+the weak contact vector field test; a NaN counts as the largest value.
 
 Every contraction of two or more block arrays (the jet's tensors, the
 Christoffel symbols and the identity residuals) goes through `einsum`, which
@@ -130,9 +130,9 @@ class StructureJet:
     def nu_at_point(self):
         """g(Q xi, xi) / g(xi, xi) at each point."""
         # single-loop np.einsum, like the validation rows: every report carries nu
-        num = np.einsum("...i,...ij,...j->...", self.Qxi, self.g, self.xi)
-        den = np.einsum("...i,...ij,...j->...", self.xi, self.g, self.xi)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            num = np.einsum("...i,...ij,...j->...", self.Qxi, self.g, self.xi)
+            den = np.einsum("...i,...ij,...j->...", self.xi, self.g, self.xi)
             return num / den
 
     @property
@@ -853,15 +853,30 @@ class Session:
 
     # -- residual reducers -----------------------------------------------------
 
-    def _over_blocks(self, sups: list) -> tuple:
-        """(point index, sup) of the worst of the blocks' (point, sup) pairs."""
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """The sample index of each block's first point: the one block layout."""
+        return np.cumsum([0] + [len(j.point) for j in self.jets[:-1]])
+
+    def block_of(self, index: int) -> tuple:
+        """(block jet, position in it) of a sample point index."""
+        block = int(np.searchsorted(self.starts, index, side="right")) - 1
+        return self.jets[block], index - int(self.starts[block])
+
+    def reduce(self, arrays) -> tuple:
+        """(point index, value) of the largest entry of one (points, ...) array per block.
+
+        `arrays` may be lazy: each is evaluated here, where an overflow or an
+        invalid value is no warning, since a non-finite residual fails by value.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            sups = [_point_sup(a) for a in arrays]
         block = sup_at([value for _, value in sups])[0]
-        offset = sum(len(j.point) for j in self.jets[:block])
-        return offset + sups[block][0], sups[block][1]
+        return int(self.starts[block]) + sups[block][0], sups[block][1]
 
     def sup_pointwise(self, fn) -> tuple:
         """(point index, sup) of |fn(jet)| over the components and the sample points."""
-        return self._over_blocks(parallel_map(lambda j: _point_sup(np.abs(fn(j))), self.jets))
+        return self.reduce(np.abs(fn(j)) for j in self.jets)
 
     def sup_contracted(self, fn, slots: int) -> tuple:
         """(point index, sup) of a contracted residual tensor over points and vector tuples.
@@ -871,18 +886,15 @@ class Session:
         axis per tuple, so no array grows beyond (points, tuples, dim^2).
         """
 
-        def per_block(item):
-            jet, vec = item
+        def contract(jet, vec):
             points, tuples, _, dim = vec.shape
             y = vec[:, :, 0] @ fn(jet).reshape(points, dim, -1)
             for k in range(slots - 1, 0, -1):
                 y = np.einsum("...ij,...j->...i", y.reshape(points, tuples, -1, dim),
                               vec[:, :, k])
-            return _point_sup(np.abs(y))
+            return np.abs(y)
 
-        ends = np.cumsum([len(j.point) for j in self.jets])[:-1]
-        blocks = zip(self.jets, np.split(self.vectors, ends))
-        return self._over_blocks(parallel_map(per_block, list(blocks)))
+        return self.reduce(map(contract, self.jets, np.split(self.vectors, self.starts[1:])))
 
     def sup(self, key: str) -> tuple:
         """(point index, sup) of a `RESIDUALS` key, reduced once per Session.
@@ -894,9 +906,8 @@ class Session:
                 raise ValueError("structure must be validated (nu resolved) before analysis")
             row = RESIDUALS[key]
             if row.comparison == ">":
-                values = np.concatenate([row.fn(j) for j in self.jets])
-                index = sup_at(-values)[0]
-                self._sups[key] = index, float(values[index])
+                index, value = self.reduce(-row.fn(j) for j in self.jets)
+                self._sups[key] = index, -value
             else:
                 self._sups[key] = (self.sup_contracted(row.fn, row.slots) if row.slots
                                    else self.sup_pointwise(row.fn))
@@ -917,16 +928,15 @@ class Session:
     def q_scalar_on_D(self) -> tuple:
         """(lambda, residual) of the test Q|_D = lambda * id."""
         two_n = self.structure.chart.dim - 1
-        lambdas = []
-        deviations = []
-        for j in self.jets:
-            qp = j.Q @ j.projector
-            lam = np.trace(qp, axis1=-2, axis2=-1) / two_n
-            lambdas.append(lam)
-            deviations.append(np.max(np.abs(qp - lam[:, None, None] * j.projector)))
-        lambdas = np.concatenate(lambdas)
-        lam0 = float(lambdas[0])
-        return lam0, sup_at([*deviations, np.max(np.abs(lambdas - lam0))])[1]
+
+        def lam(j):
+            return np.trace(j.Q @ j.projector, axis1=-2, axis2=-1) / two_n
+
+        lam0 = float(lam(self.jets[0])[0])
+        deviation = self.reduce(np.abs(j.Q @ j.projector - lam(j)[:, None, None] * j.projector)
+                                for j in self.jets)[1]
+        drift = self.reduce(np.abs(lam(j) - lam0) for j in self.jets)[1]
+        return lam0, sup_at([deviation, drift])[1]
 
 
 # --------------------------------------------------------------------------
@@ -987,8 +997,7 @@ class ValidationReport:
     def to_json_dict(self) -> dict:
         return {
             "structure": self.name,
-            "plan": {"count": self.plan.count, "seed": self.plan.seed,
-                     "margin": self.plan.margin},
+            "plan": dataclasses.asdict(self.plan),
             "tol": self.tol,
             "nu": self.nu,
             "valid": self.ok,
@@ -1029,8 +1038,8 @@ def validate(s: Structure, plan: SamplePlan = DEFAULT_PLAN,
         if key == "q_xi_nu" and nu <= 0.0:
             note, value = f"nu = {nu} is not positive", float(np.maximum(value, 1.0 + abs(nu)))
         elif key == "phi_rank_2n":
-            block, i = divmod(index, BLOCK_POINTS)
-            note = f"rank {numeric_rank(ses.jets[block].phi[i])} vs 2n = {s.dim - 1}"
+            j, i = ses.block_of(index)
+            note = f"rank {numeric_rank(j.phi[i])} vs 2n = {s.dim - 1}"
         if not np.isfinite(value):
             note = "; ".join(filter(None, (note, "residual is not finite")))
         rows.append(AxiomRow(key, row.kind, value,

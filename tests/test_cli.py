@@ -174,6 +174,23 @@ def test_verify_single_check_flag(capsys):
     assert "T2" in out and "L1" not in out
 
 
+def test_verify_table_shows_each_checks_premise(tmp_path, capsys):
+    # the hypothesis column is the residual the verdict rests on: T2's
+    # premise weak_contact_metric (2.0 on the product structure), not its
+    # other hypothesis keys (killing, n3: 0.0), and S2's premise
+    # weak_Sasakian (2.0), not the nu it reports beside it (0.25)
+    data = json.loads(Path(PRODUCT).read_text())
+    data["nu"], data["Q"][2][2] = 0.25, "0.25"
+    path = tmp_path / "product_nu.json"
+    path.write_text(json.dumps(data))
+    assert run("verify", str(path), *FAST) == 0
+    rows = {line.split()[0]: line.split()[1:4]
+            for line in capsys.readouterr().out.splitlines()[3:]}
+    assert rows["T2"] == ["n/a", "-", "2.000e+00"]
+    assert rows["S2"] == ["n/a", "-", "2.000e+00"]
+    assert rows["P1"] == ["pass", "0.000e+00", "0.000e+00"]  # either premise: normal
+
+
 def test_verify_unknown_check_exits_one(capsys):
     assert run("verify", R3, "--check", "Z9", *FAST) == 1
 

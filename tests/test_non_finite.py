@@ -2,12 +2,15 @@
 
 Python's `max` keeps whichever argument comes first when the other is NaN,
 so a reduction by `max` over points or blocks can drop a NaN and pass.  Every
-reducer goes through `structure.sup_at`, which counts a NaN as the largest
-value, and the jets refuse non-finite derivatives of either order.
+reducer goes through `Session.reduce` and `structure.sup_at`, which counts a
+NaN as the largest value, and the jets refuse non-finite derivatives of either
+order.  Each reduction gives the same value at the same point whatever the
+block size: one block, one block per point, or blocks of 10.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +20,7 @@ from conftest import TOL
 from wact import structure as st
 from wact.chart import SamplePlan
 from wact.classify import Session, _implication, _verdict_from
+from wact.deform import contact_vector_field
 from wact.errors import DomainError
 from wact.expr import parse
 from wact.fileio import load_bundled
@@ -24,6 +28,8 @@ from wact.structure import validate
 from wact.tensor import TensorField
 
 PLAN40 = SamplePlan(count=40, seed=42)
+PLAN25 = SamplePlan(count=25, seed=42)
+BLOCK_SIZES = [1, 10, st.BLOCK_POINTS]
 XYZ = ("x", "y", "z")
 
 
@@ -51,21 +57,75 @@ def test_sup_at_counts_nan_as_the_largest():
     assert index == 1 and math.isnan(value)
 
 
-@pytest.mark.parametrize("block_points", [st.BLOCK_POINTS, 1])
+@pytest.mark.parametrize("block_points", BLOCK_SIZES)
 def test_pointwise_reducer_keeps_nan(session, monkeypatch, block_points):
-    # one block, and one block per point (40 blocks, so the pool maps them)
     monkeypatch.setattr(st, "BLOCK_POINTS", block_points)
-    assert len(session.jets) == (1 if block_points > 1 else 40)
+    assert len(session.jets) == math.ceil(40 / block_points)
     index, value = session.sup_pointwise(_nan_after_first(session, (3, 3)))
     assert index == 1 and math.isnan(value)
     assert not value <= TOL
 
 
-@pytest.mark.parametrize("block_points", [st.BLOCK_POINTS, 1])
+@pytest.mark.parametrize("block_points", BLOCK_SIZES)
+def test_block_of_finds_each_sample_point(session, monkeypatch, block_points):
+    # the inverse of the offsets that `Session.reduce` adds to a block's index
+    monkeypatch.setattr(st, "BLOCK_POINTS", block_points)
+    for index in (0, 9, 10, 25, 39):
+        jet, i = session.block_of(index)
+        assert np.array_equal(jet.point[i], session.points[index])
+
+
+@pytest.mark.parametrize("block_points", BLOCK_SIZES)
 def test_contracted_reducer_keeps_nan(session, monkeypatch, block_points):
     monkeypatch.setattr(st, "BLOCK_POINTS", block_points)
     index, value = session.sup_contracted(_nan_after_first(session, (3, 3)), 2)
     assert index == 1 and math.isnan(value)
+
+
+@pytest.mark.parametrize("block_points", BLOCK_SIZES)
+def test_lower_bound_row_fails_at_the_first_nan(monkeypatch, block_points):
+    # q_nonsingular passes when its smallest value is above the threshold:
+    # 1.0 at points 0...14 and NaN from point 15 on must fail, at point 15
+    monkeypatch.setattr(st, "BLOCK_POINTS", block_points)
+    s = load_bundled("sasakian_r3")
+    points = Session(s, PLAN40).points
+
+    def ratio(j):
+        index = (j.point[:, None] == points).all(axis=-1).argmax(axis=-1)
+        return np.where(index < 15, 1.0, np.nan)
+    row = st.RESIDUALS["q_nonsingular"]
+    monkeypatch.setitem(st.RESIDUALS, "q_nonsingular", row._replace(fn=ratio))
+    result = validate(s, PLAN40).row("q_nonsingular")
+    assert math.isnan(result.value) and not result.passed
+    assert result.worst_point == tuple(float(v) for v in points[15])
+
+
+@pytest.mark.parametrize("block_points", BLOCK_SIZES)
+def test_q_scalar_on_d_does_not_depend_on_the_block_size(monkeypatch, block_points):
+    # Q = diag(1 + x^2, 1, 1) is not scalar on D, and its lambda drifts
+    s = load_bundled("sasakian_r3")
+    q = s.Q.sources()
+    q[0][0] = "1 + x^2"
+    s = dataclasses.replace(s, Q=TensorField.from_sources((1, 1), q, s.chart))
+    expected = Session(s, PLAN40).q_scalar_on_D
+    assert expected[1] > 0.1
+    monkeypatch.setattr(st, "BLOCK_POINTS", block_points)
+    assert Session(s, PLAN40).q_scalar_on_D == expected
+
+
+@pytest.mark.parametrize("block_points", BLOCK_SIZES)
+@pytest.mark.parametrize("field", ["0;2;2*x", "x;y;z"])
+def test_contact_vector_field_does_not_depend_on_the_block_size(monkeypatch, block_points,
+                                                                field):
+    s = validate(load_bundled("sasakian_r3"), PLAN25).structure
+    X = TensorField.from_sources((1, 0), field.split(";"), s.chart)
+
+    def run():
+        r = contact_vector_field(s, X, PLAN25)
+        return r.residual, r.sigma_sup, r.lie_eta_residual, r.worst_point
+    expected = run()
+    monkeypatch.setattr(st, "BLOCK_POINTS", block_points)
+    assert run() == expected
 
 
 def test_nan_conclusion_fails_the_check():
@@ -81,8 +141,7 @@ def test_non_finite_validation_row_fails_with_a_note():
     huge = [[f"1e200*({src})" for src in row] for row in s.phi.sources()]
     broken = st.Structure(s.chart, TensorField.from_sources((1, 1), huge, s.chart),
                           s.Q, s.xi, s.eta, s.g, s.nu, "huge_phi")
-    with np.errstate(all="ignore"):
-        report = validate(broken, PLAN40)
+    report = validate(broken, PLAN40)  # quietly: a numpy warning fails tier-1
     row = report.row("phi_square")
     assert not math.isfinite(row.value)
     assert not row.passed
