@@ -1,9 +1,10 @@
 """Classification flags and the named residual checks, as tables over one Session.
 
 Every residual is a key of `structure.RESIDUALS`, and `structure.Session`
-reduces each key once per run: the validation rows inside `validate`, the
-flags and checks here, over the same block jets.  A flag in `FLAGS` is the
-worst of its keys.  A check in `CHECKS` is one row: claim, hypothesis keys,
+reduces each key once per run, in one pass over the blocks of sample points
+when the command names its keys before validation: `CLASSIFY_READS` for the
+flags, `check_reads` for the checks.  A flag in `FLAGS` is the worst of its
+keys.  A check in `CHECKS` is one row: claim, hypothesis keys,
 implications and detail keys, and `Check.run` turns it into a `CheckResult`.
 Equivalences are split into one-directional implications: a direction whose
 hypothesis residual exceeds the tolerance is reported as n/a, and a satisfied
@@ -21,7 +22,8 @@ import numpy as np
 
 from .chart import DEFAULT_PLAN, SamplePlan
 from .errors import UnknownCheckIdError
-from .structure import DEFAULT_TOL, FLAGS, RESIDUALS, Session, Structure, sup_at
+from .structure import (DEFAULT_TOL, FLAGS, Q_SCALAR_ON_D, RESIDUALS, Session, Structure,
+                        sup_at)
 
 IMPLICATION_FACTOR = 10.0
 
@@ -60,10 +62,15 @@ class Classification:
         }
 
 
+# what `classify` reads: every flag, and the test Q|_D = lambda id
+CLASSIFY_READS = (*FLAGS, Q_SCALAR_ON_D)
+
+
 def classify(s: Structure, plan: SamplePlan = DEFAULT_PLAN,
              tol: float = DEFAULT_TOL, session: Session | None = None) -> Classification:
     """Evaluate every classification flag of a validated structure."""
     ses = session or Session(s, plan)
+    ses.read(CLASSIFY_READS)
     flags = {name: FlagResult(name, residual, tol, residual <= tol)
              for name, residual in ses.flag_residuals.items()}
     lam, residual = ses.q_scalar_on_D
@@ -172,6 +179,13 @@ class Check:
     either: bool = False   # the premise holds when any hypothesis key holds
     with_nu: bool = False  # report the structure's nu beside the hypothesis
 
+    @property
+    def reads(self) -> tuple:
+        """Every key or flag `run` can read, an identity's conclusion included."""
+        return (*self.hypothesis, *(key for imp in self.implications
+                                    for key in (*imp.also, imp.conclusion)),
+                *self.details)
+
     def run(self, ses: Session, tol: float) -> CheckResult:
         hypothesis = {key: ses.residual(key) for key in self.hypothesis}
         premise = (float(np.fmin.reduce(list(hypothesis.values()))) if self.either
@@ -272,6 +286,11 @@ REGISTRY = tuple((check.id, check.run) for check in CHECKS)
 CHECK_IDS = tuple(check_id for check_id, _ in REGISTRY)
 
 
+def check_reads(which: str = "all") -> tuple:
+    """Every key or flag the checks `verify(which)` runs can read; none for an unknown id."""
+    return tuple(key for check in CHECKS if which in ("all", check.id) for key in check.reads)
+
+
 def verify(s: Structure, which: str = "all", plan: SamplePlan = DEFAULT_PLAN,
            tol: float = DEFAULT_TOL, session: Session | None = None) -> CheckReport:
     """Run one registered check (by id) or all of them."""
@@ -283,5 +302,6 @@ def verify(s: Structure, which: str = "all", plan: SamplePlan = DEFAULT_PLAN,
         if not selected:
             raise UnknownCheckIdError(
                 f"unknown check id {which!r}; known: {', '.join(CHECK_IDS)} or 'all'")
+    ses.read(check_reads(which))
     results = tuple(fn(ses, tol) for _, fn in selected)
     return CheckReport(s.name, ses.plan, tol, results)

@@ -16,16 +16,17 @@ import time
 from pathlib import Path
 
 from .chart import SamplePlan
-from .classify import CHECK_IDS, classify, verify
-from .deform import (DeformParams, contact_vector_field, deform,
-                     extract_sasakian, product_construction)
+from .classify import CHECK_IDS, CLASSIFY_READS, check_reads, classify, verify
+from .deform import (EXTRACT_READS, DeformParams, contact_field_terms,
+                     contact_vector_field, deform, extract_sasakian,
+                     product_construction)
 from .errors import (AxiomViolationError, DomainError, FileFormatError,
                      NotContactMetricError, NotParallelError,
                      NotWeakSasakianError, ParseError, RankDeficientError,
                      UnknownCheckIdError, ValidationFailedError, WactError)
 from .fileio import (bundled_names, bundled_path, dump_json, load_plane,
                      load_structure, save_structure)
-from .structure import DEFAULT_TOL, validate
+from .structure import DEFAULT_TOL, FLAGS, validate
 from .tensor import TensorField
 
 EXIT_OK = 0
@@ -108,17 +109,18 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.ok else EXIT_MATH
 
 
-def _validated(args):
+def _validated(args, reads=()):
     """Validation report of the structure file; raises on a violated axiom.
 
-    Its `session` carries the resolved structure, the block jets and the
-    row sups on to the analysis.
+    `reads` names what the command will read from the report's `session`:
+    validation reduces it in the same pass over the blocks as its rows.
     """
-    return validate(load_structure(args.file), _plan(args), args.tol).raise_for_violations()
+    return validate(load_structure(args.file), _plan(args), args.tol,
+                    reads).raise_for_violations()
 
 
 def cmd_classify(args) -> int:
-    ses = _validated(args).session
+    ses = _validated(args, CLASSIFY_READS).session
     s = ses.structure
     result = classify(s, ses.plan, args.tol, session=ses)
     rows = []
@@ -142,7 +144,7 @@ def cmd_classify(args) -> int:
 
 def cmd_verify(args) -> int:
     start = time.perf_counter()
-    ses = _validated(args).session
+    ses = _validated(args, (*check_reads(args.check), *CLASSIFY_READS)).session
     s = ses.structure
     report = verify(s, args.check, ses.plan, args.tol, session=ses)
     result = classify(s, ses.plan, args.tol, session=ses)
@@ -171,7 +173,7 @@ def cmd_deform(args) -> int:
 
 
 def cmd_extract_sasakian(args) -> int:
-    ses = _validated(args).session
+    ses = _validated(args, EXTRACT_READS).session
     s = ses.structure
     out = extract_sasakian(s, ses.plan, args.tol, session=ses)
     save_structure(out, args.output)
@@ -190,16 +192,29 @@ def cmd_product(args) -> int:
     return EXIT_OK
 
 
-def cmd_cvf(args) -> int:
-    ses = _validated(args).session
-    s = ses.structure
-    components = [part.strip() for part in args.field.split(";")]
-    if len(components) != s.chart.dim:
+def _vector_field(source: str, chart):
+    components = [part.strip() for part in source.split(";")]
+    if len(components) != chart.dim:
         raise FileFormatError(
-            f"--field needs {s.chart.dim} semicolon-separated components, "
+            f"--field needs {chart.dim} semicolon-separated components, "
             f"got {len(components)}")
-    X = TensorField.from_sources((1, 0), components, s.chart)
-    result = contact_vector_field(s, X, ses.plan, args.tol, session=ses)
+    return components, TensorField.from_sources((1, 0), components, chart)
+
+
+def cmd_cvf(args) -> int:
+    s = load_structure(args.file)
+    # the field is parsed first, so that its terms join validation's pass,
+    # but an invalid structure is reported before a bad field
+    try:
+        components, X = _vector_field(args.field, s.chart)
+        terms, field_error = contact_field_terms(X), None
+    except Exception as err:  # raised below, after validation
+        terms, field_error = (), err
+    ses = validate(s, _plan(args), args.tol, (*FLAGS, *terms)).raise_for_violations().session
+    if field_error is not None:
+        raise field_error
+    s = ses.structure
+    result = contact_vector_field(s, X, ses.plan, args.tol, session=ses, terms=terms)
     print(f"structure: {s.name}")
     print(f"f = eta(X) = {result.f_source}")
     print(f"characterization residual: {result.residual:.3e} "

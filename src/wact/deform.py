@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .chart import Chart, DEFAULT_PLAN, SamplePlan, sample
 from .errors import (EngineInconsistencyError, NotContactMetricError,
                      NotParallelError, NotWeakSasakianError, RankDeficientError,
                      SingularMetricError, ValidationFailedError)
-from .structure import (DEFAULT_TOL, Session, Structure, ValidationReport,
+from .structure import (DEFAULT_TOL, FLAGS, Session, Structure, ValidationReport,
                         blocks, cholesky_defect, christoffel, matvec, nabla_11,
                         numeric_rank, transpose, validate)
 from .tensor import TensorField
@@ -48,10 +48,11 @@ def _field(valence, nodes, chart) -> TensorField:
 
 
 def _forward(s: Structure, lam: float, lam_prime: float, name: str,
-             plan: SamplePlan, tol: float) -> ValidationReport:
+             plan: SamplePlan, tol: float, reads=()) -> ValidationReport:
     """One direction of the deformation; the inverse uses reciprocal factors.
 
-    Returns the passing validation report of the deformed structure.
+    Returns the passing validation report of the deformed structure, whose
+    Session has also reduced `reads`.
     """
     phi, Q, xi, eta, g = (ex.node_array(f.comps) for f in (s.phi, s.Q, s.xi, s.eta, s.g))
     nu = s.nu
@@ -82,7 +83,7 @@ def _forward(s: Structure, lam: float, lam_prime: float, name: str,
         nu=nu / lam_prime,
         name=name,
     )
-    return validate(out, plan, tol).raise_for_violations()
+    return validate(out, plan, tol, reads).raise_for_violations()
 
 
 def deform(s: Structure, params: DeformParams, direction: str = "forward",
@@ -104,6 +105,14 @@ def deform(s: Structure, params: DeformParams, direction: str = "forward",
     return _forward(s, lam, lam_prime, name, plan, tol).structure
 
 
+# what `extract_sasakian` reads from the Session of its input
+EXTRACT_READS = (*FLAGS, "q_is_nu_on_D")
+
+
+def _q_minus_identity(j):
+    return j.Q - j.identity
+
+
 def extract_sasakian(s: Structure, plan: SamplePlan = DEFAULT_PLAN,
                      tol: float = DEFAULT_TOL,
                      session: Session | None = None) -> Structure:
@@ -112,23 +121,26 @@ def extract_sasakian(s: Structure, plan: SamplePlan = DEFAULT_PLAN,
     Requires the weak Sasakian flags and the internal test Q|_D = nu * id
     (the test is run, not assumed); the output must classify as classical
     Sasakian or an engine-level inconsistency is raised.  A `session` over
-    the same plan, such as a validation report's, saves building the block
-    jets and reducing its flags again.
+    the same plan, such as a validation report's that has read
+    `EXTRACT_READS`, saves building the block jets and reducing its flags
+    again.  The output's checks are reduced in its validation pass.
     """
     if s.nu is None:
         raise ValueError("structure must be validated before extraction")
     ses = session or Session(s, plan)
+    ses.read(EXTRACT_READS)
     for key, premise in (("weak_contact_metric", "fundamental 2-form equals d(eta)"),
                          ("normal", "N1 vanishes (normality)"),
                          ("q_is_nu_on_D", "Q restricted to D is nu * id")):
         if ses.residual(key) > tol:
             raise NotWeakSasakianError(premise, ses.residual(key))
 
-    report = _forward(s, s.nu, s.nu, f"{s.name}_sasakian", plan, tol)
+    report = _forward(s, s.nu, s.nu, f"{s.name}_sasakian", plan, tol,
+                      (_q_minus_identity, *FLAGS))
     out = report.structure
 
     out_ses = report.session
-    q_id = out_ses.sup_pointwise(lambda j: j.Q - j.identity)[1]
+    q_id = out_ses.sup_pointwise(_q_minus_identity)[1]
     out_contact = out_ses.flag_residuals["weak_contact_metric"]
     out_normal = out_ses.flag_residuals["normal"]
     slack = 10.0 * tol
@@ -262,44 +274,58 @@ class CvfResult:
     tol: float
 
 
+def contact_field_terms(X: TensorField) -> tuple:
+    """The three reductions of the weak contact vector field test of X.
+
+    Each is a function of a block jet, for `Session.read`: |characterization|,
+    |sigma| and |Lie_X eta - sigma eta| at each point.  The three share one
+    evaluation per block.
+    """
+    @lru_cache(maxsize=1)  # the block being reduced; no earlier block is kept
+    def terms(j):
+        xv, xd = X.jet(j.point, "field")
+        f = np.einsum("...i,...i->...", j.eta, xv)
+        df = (np.einsum("...ik,...i->...k", j.d_eta_partials, xv)
+              + np.einsum("...i,...ik->...k", j.eta, xd))
+        grad_f = matvec(j.g_inv, df)
+        resid = matvec(j.Q, xv) + 0.5 * matvec(j.phi, grad_f) - j.nu * f[:, None] * j.xi
+        sigma = np.einsum("...i,...i->...", j.xi, df)
+        lie_eta = (np.einsum("...a,...ia->...i", xv, j.d_eta_partials)
+                   + np.einsum("...a,...ai->...i", j.eta, xd))
+        return resid, sigma, lie_eta - sigma[:, None] * j.eta
+
+    return tuple(lambda j, n=n: terms(j)[n] for n in range(3))
+
+
 def contact_vector_field(s: Structure, X: TensorField,
                          plan: SamplePlan = DEFAULT_PLAN,
                          tol: float = DEFAULT_TOL,
-                         session: Session | None = None) -> CvfResult:
+                         session: Session | None = None,
+                         terms: tuple | None = None) -> CvfResult:
     """Test whether X generates a (strict) weak contact transformation.
 
     Evaluates the characterization Q X = -(1/2) phi grad(f) + nu f xi with
     f = eta(X), reports sigma = xi(f), and cross-checks Lie_X(eta) = sigma eta
     when the characterization holds.  A `session` over the same plan, such as
-    a validation report's, saves building the block jets again.
+    a validation report's, saves building the block jets again; if it has
+    read the flags and `terms`, the `contact_field_terms` of X, in its pass,
+    no jet is built again.
     """
     if s.nu is None:
         raise ValueError("structure must be validated before the field test")
     if tuple(X.valence) != (1, 0):
         raise ValueError("X must be a vector field")
     ses = session or Session(s, plan)
+    terms = terms or contact_field_terms(X)
+    ses.read((*FLAGS, *terms))
     contact = ses.flag_residuals["weak_contact_metric"]
     if contact > tol:
         raise NotContactMetricError(
             f"structure is not weak contact metric (residual {contact:.3e})")
 
-    @cache  # one evaluation per block; the first reduction below runs it
-    def terms(j):
-        """|characterization|, |sigma| and |Lie_X eta - sigma eta| at each point."""
-        xv, xd = X.jet(j.point, "field")
-        f = np.einsum("...i,...i->...", j.eta, xv)
-        df = (np.einsum("...ik,...i->...k", j.d_eta_partials, xv)
-              + np.einsum("...i,...ik->...k", j.eta, xd))
-        grad_f = matvec(j.g_inv, df)
-        resid = matvec(j.Q, xv) + 0.5 * matvec(j.phi, grad_f) - s.nu * f[:, None] * j.xi
-        sigma = np.einsum("...i,...i->...", j.xi, df)
-        lie_eta = (np.einsum("...a,...ia->...i", xv, j.d_eta_partials)
-                   + np.einsum("...a,...ai->...i", j.eta, xd))
-        return np.abs(resid), np.abs(sigma), np.abs(lie_eta - sigma[:, None] * j.eta)
-
-    index, worst = ses.reduce(terms(j)[0] for j in ses.jets)
-    sigma_sup = ses.reduce(terms(j)[1] for j in ses.jets)[1]
-    lie_res = ses.reduce(terms(j)[2] for j in ses.jets)[1]
+    index, worst = ses.sup_pointwise(terms[0])
+    sigma_sup = ses.sup_pointwise(terms[1])[1]
+    lie_res = ses.sup_pointwise(terms[2])[1]
 
     f = ex.node_array(s.eta.comps) @ ex.node_array(X.comps)
     f_source = ex.ScalarExpr(f, s.chart.coords).to_source()

@@ -1,9 +1,11 @@
 """Map over the blocks of sample points.
 
-Each item is a whole block of at most `structure.BLOCK_POINTS` points, and
-the blocks run one after another in input order.  `worker_count` is always 1.
-Both names stay because the benchmark's per-layer tracer wraps `parallel_map`
-and reports `worker_count`.
+`Session.read`'s one pass maps each block index to the block's reductions:
+the block jet is built, every named reduction is evaluated on it, and the jet
+is dropped before the next block.  The blocks run one after another in input
+order, so at most one block's arrays are held at a time.  `worker_count` is
+always 1.  Both names stay because the benchmark's per-layer tracer wraps
+`parallel_map` and reports `worker_count`.
 """
 
 from __future__ import annotations

@@ -17,15 +17,28 @@ k-partial of phi^i_j).
 `RESIDUALS` is the one table of residuals: the axioms and their derived
 consequences that `validate` reports, then the flag and identity residuals
 of the analysis, each a function of a block jet with its reduction.
-`Session.reduce` is the one reducer from per-block arrays to (point index,
-sup), for each key once per run, the lower-bound row, Q|_D = lambda id and
-the weak contact vector field test; a NaN counts as the largest value.
+
+A command names, before anything is evaluated, every reduction it will
+read: the validation rows, the keys of its checks and flags, the two
+reductions of Q|_D = lambda id, or the terms of the weak contact vector
+field test.  `Session.read` then makes one pass over the blocks of sample
+points: it builds a block's jet, reduces every named reduction on it to the
+block's (point index, sup), and drops the jet before the next block, so
+memory grows with one block, not with the plan.  Blocks are sized by a
+memory budget, so a block's largest array, (points, dim, dim, dim), holds at
+most `BLOCK_ENTRIES` numbers.  The per-block results merge in block order to
+(point index, sup) over the plan; a NaN counts as the largest value.  A
+plan of one block keeps its jet, and reduces each reduction when it is first
+read.  A reduction that raises keeps its exception, and raises it only when
+it is read; a DomainError is the one a single block of the whole plan
+raises, so no output depends on the block layout.
 
 Every contraction of two or more block arrays (the jet's tensors, the
 Christoffel symbols and the identity residuals) goes through `einsum`, which
-runs a step program planned once per subscripts and operand shapes: numpy's
-greedy pairwise path, each pair one batched `np.matmul` (or a broadcast
-multiply) with its sums, transposes and reshapes fixed at plan time.  Each
+runs a step program planned once per subscripts and per-point operand
+shapes, so blocks of every length share it: numpy's greedy pairwise path,
+each pair one batched `np.matmul` (or a broadcast multiply) with its sums,
+transposes and reshapes fixed at plan time.  Each
 pair is laid out as numpy 2's path-optimized `einsum` lays it out, so the
 sums run in the same order and the results agree bit for bit with that
 `np.einsum(..., optimize=path)`.  The validation rows, nu and `matvec` keep
@@ -38,6 +51,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
@@ -45,7 +60,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .chart import Chart, DEFAULT_PLAN, SamplePlan, sample, sample_vectors
-from .errors import AxiomViolationError
+from .errors import AxiomViolationError, DomainError
 from .runtime import parallel_map
 from .tensor import TensorField
 
@@ -53,7 +68,8 @@ DEFAULT_TOL = 1e-6
 
 RANK_RTOL = 1e-8  # relative singular-value threshold for numeric rank
 
-BLOCK_POINTS = 1024  # sample points evaluated together; bounds the memory of a block
+BLOCK_POINTS = 1024  # the most sample points evaluated together in one block
+BLOCK_ENTRIES = 2**15  # the most numbers in a block's (points, dim, dim, dim) array: 256 KiB
 
 
 @dataclass(frozen=True)
@@ -338,13 +354,14 @@ class StructureJet:
 
 
 def blocks(points: np.ndarray) -> list:
-    """Consecutive blocks of at most BLOCK_POINTS sample points."""
-    return [points[i:i + BLOCK_POINTS] for i in range(0, len(points), BLOCK_POINTS)]
+    """Consecutive blocks of the sample points, sized by the memory budget.
 
-
-def block_jets(s: Structure, points: np.ndarray) -> list:
-    """One StructureJet per block of at most BLOCK_POINTS sample points."""
-    return parallel_map(lambda block: StructureJet(s, block), blocks(points))
+    A block holds at most BLOCK_POINTS points, and at most BLOCK_ENTRIES //
+    dim**3, so that its (points, dim, dim, dim) arrays stay within
+    BLOCK_ENTRIES numbers each.
+    """
+    size = max(1, min(BLOCK_POINTS, BLOCK_ENTRIES // points.shape[-1] ** 3))
+    return [points[i:i + size] for i in range(0, len(points), size)]
 
 
 # --------------------------------------------------------------------------
@@ -360,14 +377,17 @@ def einsum(subscripts: str, *operands):
     once.  Each pair is one batched `np.matmul` over the point axis, or a
     broadcast multiply when nothing is contracted, with every sum, transpose
     and reshape around it fixed at plan time.  The program is cached by
-    subscripts and operand shapes.  One operand (a permutation) is plain
-    `np.einsum`.
+    subscripts and operand shapes, with a single leading point axis left
+    open, so blocks of every length share one program.  One operand (a
+    permutation) is plain `np.einsum`.
     """
     if len(operands) < 2:
         return np.einsum(subscripts, *operands)
     operands = [np.asarray(op) for op in operands]
-    for first, second, left, right, shape, perm in _contraction_path(
-            subscripts, tuple(op.shape for op in operands)):
+    shapes = tuple(op.shape for op in operands)
+    if all(op.ndim == rank + 1 for op, rank in zip(operands, _ranks(subscripts))):
+        shapes = tuple((-1,) + shape[1:] for shape in shapes)  # one point axis, any length
+    for first, second, left, right, shape, perm in _contraction_path(subscripts, shapes):
         a = _arrange(operands.pop(first), left)
         b = _arrange(operands.pop(second), right)
         if shape is None:  # nothing is contracted
@@ -385,13 +405,26 @@ def _arrange(x, layout):
     return x.transpose(perm).reshape(shape)
 
 
+@lru_cache(maxsize=1024)
+def _ranks(subscripts: str) -> tuple:
+    """The number of per-point indices of each operand of `subscripts`."""
+    return tuple(len(term.replace("...", ""))
+                 for term in subscripts.split("->")[0].split(","))
+
+
+def _fused(sizes: dict, group) -> int:
+    """The size of a group of indices fused to one axis; -1 if it holds the open point axis."""
+    size = math.prod(sizes[ix] for ix in group)
+    return -1 if size < 0 else size
+
+
 def _layout(term: str, groups: tuple, sizes: dict) -> tuple:
     """Sum away the indices of `term` in no group, then fuse each group to one axis."""
     kept = [ix for group in groups for ix in group]
     rest = [ix for ix in term if ix in kept]
     summed = tuple(axis for axis, ix in enumerate(term) if ix not in kept)
     return (summed, tuple(rest.index(ix) for ix in kept),
-            tuple(math.prod(sizes[ix] for ix in group) for group in groups))
+            tuple(_fused(sizes, group) for group in groups))
 
 
 def _pair(a: str, b: str, out: str, sizes: dict) -> tuple:
@@ -427,7 +460,10 @@ def _contraction_path(subscripts: str, shapes: tuple) -> tuple:
     A step pops the operands at positions `first`, then `second`, and
     appends their `_pair` product.  Every operand must carry the same
     leading point axes (the `...`), and no index may repeat within one
-    operand; other subscripts raise ValueError.
+    operand; other subscripts raise ValueError.  A point axis of size -1 is
+    open: its reshapes infer the length, and the path is planned with one
+    point, since every term holds the point axis and the greedy costs all
+    scale with its length.
     """
     inputs, output = subscripts.split("->")
     terms = inputs.split(",")
@@ -444,7 +480,7 @@ def _contraction_path(subscripts: str, shapes: tuple) -> tuple:
         raise ValueError(f"einsum {subscripts!r}: an index repeats within one operand")
     sizes = {ix: n for term, shape in zip(terms, shapes) for ix, n in zip(term, shape)}
     path = np.einsum_path(",".join(terms) + "->" + output,
-                          *(np.broadcast_to(0.0, shape) for shape in shapes),
+                          *(np.broadcast_to(0.0, tuple(map(abs, shape))) for shape in shapes),
                           optimize="greedy")[0][1:]
     pairs, count = [], len(terms)
     for positions in path:
@@ -459,7 +495,8 @@ def _contraction_path(subscripts: str, shapes: tuple) -> tuple:
         out = output
         if n < len(pairs) - 1:  # an intermediate keeps what later terms need, by size
             needed = set(output).union(*terms)
-            out = "".join(sorted(set(a + b) & needed, key=lambda ix: (sizes[ix], ix)))
+            out = "".join(sorted(set(a + b) & needed,  # the open point axis last
+                                 key=lambda ix: (sizes[ix] < 0, sizes[ix], ix)))
         terms.append(out)
         steps.append((first, second) + _pair(a, b, out, sizes))
     return tuple(steps)
@@ -509,6 +546,20 @@ def _point_sup(a) -> tuple:
     inner = sorted(range(1, a.ndim), key=lambda axis: -a.strides[axis])
     index, value = sup_at(a.transpose(0, *inner))
     return index // (a.size // len(a)), value
+
+
+def _contract(residual, vec, slots: int):
+    """|residual| contracted with each tuple of test vectors, at each point of a block.
+
+    The first slot is one batched matmul over the points, (tuples, dim) @
+    (dim, dim^(slots-1)); each later slot, last first, contracts one more
+    axis per tuple, so no array grows beyond (points, tuples, dim^2).
+    """
+    points, tuples, _, dim = vec.shape
+    y = vec[:, :, 0] @ residual.reshape(points, dim, -1)
+    for k in range(slots - 1, 0, -1):
+        y = np.einsum("...ij,...j->...i", y.reshape(points, tuples, -1, dim), vec[:, :, k])
+    return np.abs(y)
 
 
 def sup_at(values) -> tuple:
@@ -819,30 +870,66 @@ FLAGS = {
     "phi_parallel": ("nabla_phi",),
 }
 
+
+class BlockJets(Sequence):
+    """The block jets of a Session, one per block, built when first accessed.
+
+    Only the jet built last is kept, so a pass over the blocks holds one
+    block's arrays at a time, and a reduction over the jets after the pass
+    rebuilds them, except the last one.  A block whose fields leave their
+    domain raises the error of the whole plan (`Session._whole_plan_error`).
+    """
+
+    def __init__(self, ses: "Session"):
+        self._ses = ses
+        self._last = None, None  # (block index, its jet)
+
+    def __len__(self) -> int:
+        return len(self._ses.blocks)
+
+    def __getitem__(self, k) -> StructureJet:
+        k = range(len(self))[operator.index(k)]
+        if self._last[0] != k:
+            self._last = None, None  # drop the old jet before building the next
+            try:
+                self._last = k, StructureJet(self._ses.structure, self._ses.blocks[k])
+            except DomainError as err:
+                raise self._ses._whole_plan_error(err) from None
+        return self._last[1]
+
+
+Q_SCALAR_ON_D = "Q_scalar_on_D"  # the name of the two reductions of the test Q|_D = lambda id
+
 _TUPLES_PER_POINT = 5
 _SLOTS = 3
 
 
 class Session:
-    """One run over a sample plan: its points, block jets, test vectors and sups.
+    """One run over a sample plan: its points, blocks, test vectors and sups.
 
-    `validate` builds it, resolves nu and reduces the validation rows through
-    it; `classify`, `verify` and the constructions reduce the analysis rows
-    and the flags through the same Session, so each block jet is built once
-    and each key of `RESIDUALS` is reduced once per run.  A structure whose
-    nu is not resolved yet is accepted, but reducing any key needs nu.
+    `validate` builds it, resolves nu and reduces the validation rows, and
+    every reduction the caller names, in one pass over the blocks (`read`);
+    `classify`, `verify` and the constructions then read the analysis rows
+    and the flags from the same Session.  Each key of `RESIDUALS` is
+    reduced once per run, and each block jet is built once when every
+    reduction was named before the pass.  A structure whose nu is not
+    resolved yet is accepted, but reducing any key needs nu.
     """
 
     def __init__(self, s: Structure, plan: SamplePlan = DEFAULT_PLAN):
         self.structure = s
         self.plan = plan
         self.points = sample(s.chart, plan)
-        self._sups = {}
+        self._sups = {}  # reduction -> (point index, sup), or the exception it raised
 
     @cached_property
-    def jets(self) -> list:
-        """One StructureJet per block of sample points."""
-        return block_jets(self.structure, self.points)
+    def blocks(self) -> list:
+        return blocks(self.points)
+
+    @cached_property
+    def jets(self) -> BlockJets:
+        """One StructureJet per block of sample points, built on access."""
+        return BlockJets(self)
 
     @cached_property
     def vectors(self) -> np.ndarray:
@@ -851,67 +938,146 @@ class Session:
         return sample_vectors(self.plan, np.arange(len(self.points)),
                               _TUPLES_PER_POINT, _SLOTS, dim)
 
-    # -- residual reducers -----------------------------------------------------
-
     @cached_property
     def starts(self) -> np.ndarray:
         """The sample index of each block's first point: the one block layout."""
-        return np.cumsum([0] + [len(j.point) for j in self.jets[:-1]])
+        return np.cumsum([0] + [len(block) for block in self.blocks[:-1]])
 
     def block_of(self, index: int) -> tuple:
         """(block jet, position in it) of a sample point index."""
         block = int(np.searchsorted(self.starts, index, side="right")) - 1
         return self.jets[block], index - int(self.starts[block])
 
-    def reduce(self, arrays) -> tuple:
-        """(point index, value) of the largest entry of one (points, ...) array per block.
+    def _block_vectors(self, k: int) -> np.ndarray:
+        start = int(self.starts[k])
+        return self.vectors[start:start + len(self.blocks[k])]
 
-        `arrays` may be lazy: each is evaluated here, where an overflow or an
-        invalid value is no warning, since a non-finite residual fails by value.
+    def _whole_plan_error(self, error: DomainError, fn=lambda j: j) -> DomainError:
+        """The DomainError that building one jet of all the sample points, then `fn`, raises.
+
+        A field evaluates its components in order, and names the first point
+        of the block where the first failing one fails.  Which component
+        that is depends on the block when two of them fail at different
+        points, so an error raised on one block of several is replaced by
+        the one a single block of the whole plan raises, and no layout
+        changes it.  Only this error path holds every point's arrays at once.
         """
-        with np.errstate(over="ignore", invalid="ignore"):
-            sups = [_point_sup(a) for a in arrays]
+        if len(self.blocks) == 1:
+            return error
+        try:
+            fn(StructureJet(self.structure, self.points))
+        except DomainError as err:
+            return err.with_traceback(None)
+        return error
+
+    # -- the pass over the blocks --------------------------------------------------
+
+    def read(self, names) -> None:
+        """Reduce every named reduction not reduced yet, in one pass over the blocks.
+
+        A name is a `RESIDUALS` key, a flag of `FLAGS` (its keys),
+        `Q_SCALAR_ON_D` (its two reductions) or a function of a block jet
+        (reduced as `sup_pointwise` reduces it).  Each block's jet is built,
+        every reduction is evaluated on it, where an overflow, a division by
+        zero or an invalid value is no warning, since a non-finite residual
+        fails by value, and the jet is dropped.  A reduction that raises on
+        a block keeps the exception of its first such block.  With a single
+        block the jet stays built, so each reduction is reduced when it is
+        first read instead, and one that is never read costs nothing.
+        """
+        if len(self.blocks) > 1:
+            self._pass(names)
+
+    def _pass(self, names) -> None:
+        todo = [reduction for reduction in dict.fromkeys(
+                    reduction for name in names for reduction in self._expand(name))
+                if reduction not in self._sups]
+        if not todo:
+            return
+        if self.structure.nu is None and any(isinstance(r, str) for r in todo):
+            raise ValueError("structure must be validated (nu resolved) before analysis")
+        evaluators = [self._evaluator(reduction) for reduction in todo]
+        outcomes = parallel_map(lambda k: self._reduce_block(evaluators, k),
+                                range(len(self.blocks)))
+        for reduction, per_block in zip(todo, zip(*outcomes)):
+            error = next((o for o in per_block if isinstance(o, Exception)), None)
+            if isinstance(error, DomainError):
+                error = self._whole_plan_error(error, self._residual_fn(reduction))
+            if error is not None:
+                self._sups[reduction] = error
+                continue
+            index, value = self._merge(per_block)
+            lower = isinstance(reduction, str) and RESIDUALS[reduction].comparison == ">"
+            self._sups[reduction] = index, -value if lower else value
+
+    def _expand(self, name) -> tuple:
+        """The reductions a name of `read` stands for."""
+        return self._q_reductions if name == Q_SCALAR_ON_D else FLAGS.get(name, (name,))
+
+    @staticmethod
+    def _residual_fn(reduction):
+        """The function of a block jet whose values a reduction reduces."""
+        return reduction if callable(reduction) else RESIDUALS[reduction].fn
+
+    def _evaluator(self, reduction):
+        """fn(jet, block index) -> the block's array whose largest entry is its sup."""
+        fn = self._residual_fn(reduction)
+        if callable(reduction):
+            return lambda j, k: np.abs(fn(j))
+        row = RESIDUALS[reduction]
+        if row.comparison == ">":  # a lower bound: its smallest value, negated
+            return lambda j, k: -fn(j)
+        if row.slots:
+            return lambda j, k: _contract(fn(j), self._block_vectors(k), row.slots)
+        return lambda j, k: np.abs(fn(j))
+
+    def _reduce_block(self, evaluators, k: int) -> list:
+        """(point index in the block, sup) of each evaluator on block k, or its exception."""
+        j = self.jets[k]
+        out = []
+        for evaluate in evaluators:
+            try:
+                with np.errstate(all="ignore"):
+                    out.append(_point_sup(evaluate(j, k)))
+            except Exception as err:  # raised when the reduction is read
+                out.append(err.with_traceback(None))  # the frames hold the jet
+        return out
+
+    def _merge(self, sups) -> tuple:
+        """(point index, value) of the worst of one (index in block, sup) per block."""
         block = sup_at([value for _, value in sups])[0]
         return int(self.starts[block]) + sups[block][0], sups[block][1]
 
+    # -- residual reducers -----------------------------------------------------
+
+    def reduce(self, arrays) -> tuple:
+        """(point index, value) of the largest entry of one (points, ...) array per block.
+
+        `arrays` may be lazy: each is evaluated here, as in `read`.
+        """
+        with np.errstate(all="ignore"):
+            sups = [_point_sup(a) for a in arrays]
+        return self._merge(sups)
+
     def sup_pointwise(self, fn) -> tuple:
         """(point index, sup) of |fn(jet)| over the components and the sample points."""
-        return self.reduce(np.abs(fn(j)) for j in self.jets)
+        return self.sup(fn)
 
     def sup_contracted(self, fn, slots: int) -> tuple:
-        """(point index, sup) of a contracted residual tensor over points and vector tuples.
+        """(point index, sup) of a contracted residual tensor over points and vector tuples."""
+        return self.reduce(_contract(fn(j), self._block_vectors(k), slots)
+                           for k, j in enumerate(self.jets))
 
-        The first slot is one batched matmul over the points, (tuples, dim) @
-        (dim, dim^(slots-1)); each later slot, last first, contracts one more
-        axis per tuple, so no array grows beyond (points, tuples, dim^2).
-        """
-
-        def contract(jet, vec):
-            points, tuples, _, dim = vec.shape
-            y = vec[:, :, 0] @ fn(jet).reshape(points, dim, -1)
-            for k in range(slots - 1, 0, -1):
-                y = np.einsum("...ij,...j->...i", y.reshape(points, tuples, -1, dim),
-                              vec[:, :, k])
-            return np.abs(y)
-
-        return self.reduce(map(contract, self.jets, np.split(self.vectors, self.starts[1:])))
-
-    def sup(self, key: str) -> tuple:
-        """(point index, sup) of a `RESIDUALS` key, reduced once per Session.
+    def sup(self, name) -> tuple:
+        """(point index, sup) of a `RESIDUALS` key or a function, reduced once per Session.
 
         A lower-bound row reports its smallest value, and where it is, instead.
         """
-        if key not in self._sups:
-            if self.structure.nu is None:
-                raise ValueError("structure must be validated (nu resolved) before analysis")
-            row = RESIDUALS[key]
-            if row.comparison == ">":
-                index, value = self.reduce(-row.fn(j) for j in self.jets)
-                self._sups[key] = index, -value
-            else:
-                self._sups[key] = (self.sup_contracted(row.fn, row.slots) if row.slots
-                                   else self.sup_pointwise(row.fn))
-        return self._sups[key]
+        self._pass((name,))
+        result = self._sups[name]
+        if isinstance(result, Exception):
+            raise result
+        return result
 
     def residual(self, key: str) -> float:
         """Sup of a `RESIDUALS` key, or a flag's residual."""
@@ -921,22 +1087,30 @@ class Session:
 
     @cached_property
     def flag_residuals(self) -> dict:
+        self.read(FLAGS)
         return {name: sup_at([self.residual(key) for key in keys])[1]
                 for name, keys in FLAGS.items()}
+
+    def _lam(self, j):
+        """lambda = tr(Q P) / 2n at each point of a block jet."""
+        return np.trace(j.Q @ j.projector, axis1=-2, axis2=-1) / (self.structure.chart.dim - 1)
+
+    @cached_property
+    def _lam0(self) -> float:
+        return float(self._lam(self.jets[0])[0])
+
+    @cached_property
+    def _q_reductions(self) -> tuple:
+        """|Q P - lambda P| and the drift |lambda - lambda at the first sample point|."""
+        return (lambda j: j.Q @ j.projector - self._lam(j)[:, None, None] * j.projector,
+                lambda j: self._lam(j) - self._lam0)
 
     @cached_property
     def q_scalar_on_D(self) -> tuple:
         """(lambda, residual) of the test Q|_D = lambda * id."""
-        two_n = self.structure.chart.dim - 1
-
-        def lam(j):
-            return np.trace(j.Q @ j.projector, axis1=-2, axis2=-1) / two_n
-
-        lam0 = float(lam(self.jets[0])[0])
-        deviation = self.reduce(np.abs(j.Q @ j.projector - lam(j)[:, None, None] * j.projector)
-                                for j in self.jets)[1]
-        drift = self.reduce(np.abs(lam(j) - lam0) for j in self.jets)[1]
-        return lam0, sup_at([deviation, drift])[1]
+        self.read((Q_SCALAR_ON_D,))
+        deviation, drift = (self.sup_pointwise(fn)[1] for fn in self._q_reductions)
+        return self._lam0, sup_at([deviation, drift])[1]
 
 
 # --------------------------------------------------------------------------
@@ -1013,7 +1187,7 @@ class ValidationReport:
 
 
 def validate(s: Structure, plan: SamplePlan = DEFAULT_PLAN,
-             tol: float = DEFAULT_TOL) -> ValidationReport:
+             tol: float = DEFAULT_TOL, reads=()) -> ValidationReport:
     """Reduce every validation row of `RESIDUALS`; resolve nu if not supplied.
 
     An open nu is resolved to g(Q xi, xi) / g(xi, xi) at the first sample
@@ -1021,25 +1195,29 @@ def validate(s: Structure, plan: SamplePlan = DEFAULT_PLAN,
     constant and positive.  The report's `structure` carries the resolved nu
     (also when rows fail, so callers can inspect), and its `session` is the
     Session that reduced the rows: `classify`, `verify` and the constructions
-    take it and reuse its block jets and sups.
+    take it.  `reads` names the reductions (see `Session.read`) the caller
+    will read from that Session; they are reduced in the same pass over the
+    blocks as the rows, and one that raises raises only when it is read.
     """
     ses = Session(s, plan)
     if s.nu is None:
         ses.structure = s.with_nu(ses.jets[0].nu_at_point[0])
-        for j in ses.jets:
-            j.structure = ses.structure  # let jets see the resolved constant
+        ses.jets[0].structure = ses.structure  # let the jet see the resolved constant
     nu = ses.structure.nu
+    keys = [key for key, row in RESIDUALS.items() if row.kind]
+    ses.read((*keys, *reads))
     rows = []
-    for key, row in RESIDUALS.items():
-        if not row.kind:
-            continue
+    for key in keys:
+        row = RESIDUALS[key]
         index, value = ses.sup(key)
         note = ""
         if key == "q_xi_nu" and nu <= 0.0:
             note, value = f"nu = {nu} is not positive", float(np.maximum(value, 1.0 + abs(nu)))
         elif key == "phi_rank_2n":
-            j, i = ses.block_of(index)
-            note = f"rank {numeric_rank(j.phi[i])} vs 2n = {s.dim - 1}"
+            # a zero residual is rank 2n everywhere; else phi is evaluated at the point
+            rank = (s.dim - 1 if value == 0.0 else
+                    numeric_rank(ses.structure.phi.jet(ses.points[index], "phi")[0]))
+            note = f"rank {rank} vs 2n = {s.dim - 1}"
         if not np.isfinite(value):
             note = "; ".join(filter(None, (note, "residual is not finite")))
         rows.append(AxiomRow(key, row.kind, value,

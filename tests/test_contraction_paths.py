@@ -172,6 +172,29 @@ def test_a_second_verify_plans_no_contraction(monkeypatch, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_a_ragged_last_block_plans_nothing_new(monkeypatch, capsys):
+    # 300 dim-5 points make blocks of 262 and 38 points, 200 points one
+    # block: the step programs are planned per subscripts and per-point
+    # shapes, so the second block length plans nothing
+    plan = np.einsum_path
+    counts = []
+    for points in (200, 300):
+        ses = st.Session(load_bundled("sasakian_r5"), SamplePlan(points, 42, 0.05))
+        assert len(ses.blocks) == {200: 1, 300: 2}[points]
+        plans = []
+
+        def counted(*args, **kwargs):
+            plans.append(args[0])
+            return plan(*args, **kwargs)
+        monkeypatch.setattr(np, "einsum_path", counted)
+        st._contraction_path.cache_clear()
+        argv = ["verify", str(bundled_path("sasakian_r5")), "--check", "all"]
+        assert main(argv + ["--points", str(points)]) == 0
+        counts.append(len(plans))
+    capsys.readouterr()
+    assert counts[0] == counts[1] > 0
+
+
 IDENTITY_BANNER = "# Identity residual tensors"
 
 
