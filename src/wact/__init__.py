@@ -6,24 +6,13 @@ registry of named residual checks, and implements the constructive procedures
 (homothetic deformation, Sasakian extraction, product construction, contact
 vector field test).  All derivatives are exact dual-number forward-mode; all
 verdicts are sup-norm residual comparisons over a deterministic sample plan.
-"""
 
-from .calculus import (Connection, DerivedField, christoffel,
-                       covariant_derivative, exterior_derivative, lie_bracket,
-                       lie_derivative, nijenhuis)
-from .chart import BaseChart, Chart, CounterStream, DEFAULT_PLAN, SamplePlan, sample
-from .classify import (CHECK_IDS, CheckReport, CheckResult, Classification,
-                       Session, classify, verify)
-from .deform import (CvfResult, DeformParams, contact_vector_field, deform,
-                     extract_sasakian, product_construction)
-from .dual import Dual
-from .errors import *  # noqa: F401,F403 -- the error module defines __all__-safe names
-from .expr import ScalarExpr, parse
-from .fileio import (bundled_names, bundled_path, load_bundled, load_plane,
-                     load_structure, save_structure, structure_from_dict,
-                     structure_to_dict)
-from .structure import (DEFAULT_TOL, Structure, StructureJet, ValidationReport,
-                        validate)
-from .tensor import TensorField, TensorValue
+The package re-exports nothing, and importing it imports no submodule and no
+numpy: names are imported from their modules (`from wact.structure import
+validate`, `from wact import structure`).  That lets `wact.cli` run its first
+statement before numpy loads: the command line starts numpy's OpenBLAS on one
+thread unless OPENBLAS_NUM_THREADS is already set.  The library itself leaves
+the environment alone.
+"""
 
 __version__ = "0.1.0"

@@ -9,25 +9,35 @@ and no timestamps, so repeated runs are byte-identical.
 
 from __future__ import annotations
 
-import argparse
-import math
-import sys
-import time
-from pathlib import Path
+import os
 
-from .chart import SamplePlan
-from .classify import CHECK_IDS, CLASSIFY_READS, check_reads, classify, verify
-from .deform import (EXTRACT_READS, DeformParams, contact_field_terms,
-                     contact_vector_field, deform, extract_sasakian,
-                     product_construction)
-from .errors import (AxiomViolationError, DomainError, FileFormatError,
+# OpenBLAS reads this once, when numpy loads, and starts one worker thread
+# per extra core, each of which spins for about 0.1 s of CPU waiting for work.
+# The largest matrix product here is a stack of per-point matrices of side at
+# most dim**2, far too small for threaded GEMM to pay, so the pool only slows
+# the start of every command.  A value the user set wins; other BLAS builds
+# ignore the variable.  It must be set before the imports below load numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import argparse  # noqa: E402
+import math  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from .chart import SamplePlan  # noqa: E402
+from .classify import CHECK_IDS, CLASSIFY_READS, check_reads, classify, verify  # noqa: E402
+from .deform import (CVF_READS, EXTRACT_READS, DeformParams,  # noqa: E402
+                     contact_field_terms, contact_vector_field, deform,
+                     extract_sasakian, product_construction)
+from .errors import (AxiomViolationError, DomainError, FileFormatError,  # noqa: E402
                      NotContactMetricError, NotParallelError,
                      NotWeakSasakianError, ParseError, RankDeficientError,
                      UnknownCheckIdError, ValidationFailedError, WactError)
-from .fileio import (bundled_names, bundled_path, dump_json, load_plane,
+from .fileio import (bundled_names, bundled_path, dump_json, load_plane,  # noqa: E402
                      load_structure, save_structure)
-from .structure import DEFAULT_TOL, FLAGS, validate
-from .tensor import TensorField
+from .structure import DEFAULT_TOL, validate  # noqa: E402
+from .tensor import TensorField  # noqa: E402
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -210,7 +220,7 @@ def cmd_cvf(args) -> int:
         terms, field_error = contact_field_terms(X), None
     except Exception as err:  # raised below, after validation
         terms, field_error = (), err
-    ses = validate(s, _plan(args), args.tol, (*FLAGS, *terms)).raise_for_violations().session
+    ses = validate(s, _plan(args), args.tol, (*CVF_READS, *terms)).raise_for_violations().session
     if field_error is not None:
         raise field_error
     s = ses.structure

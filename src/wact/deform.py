@@ -25,7 +25,7 @@ from .chart import Chart, DEFAULT_PLAN, SamplePlan, sample
 from .errors import (EngineInconsistencyError, NotContactMetricError,
                      NotParallelError, NotWeakSasakianError, RankDeficientError,
                      SingularMetricError, ValidationFailedError)
-from .structure import (DEFAULT_TOL, FLAGS, Session, Structure, ValidationReport,
+from .structure import (DEFAULT_TOL, Session, Structure, ValidationReport,
                         blocks, cholesky_defect, christoffel, matvec, nabla_11,
                         numeric_rank, transpose, validate)
 from .tensor import TensorField
@@ -106,7 +106,7 @@ def deform(s: Structure, params: DeformParams, direction: str = "forward",
 
 
 # what `extract_sasakian` reads from the Session of its input
-EXTRACT_READS = (*FLAGS, "q_is_nu_on_D")
+EXTRACT_READS = ("weak_contact_metric", "normal", "q_is_nu_on_D")
 
 
 def _q_minus_identity(j):
@@ -136,13 +136,13 @@ def extract_sasakian(s: Structure, plan: SamplePlan = DEFAULT_PLAN,
             raise NotWeakSasakianError(premise, ses.residual(key))
 
     report = _forward(s, s.nu, s.nu, f"{s.name}_sasakian", plan, tol,
-                      (_q_minus_identity, *FLAGS))
+                      (_q_minus_identity, "weak_contact_metric", "normal"))
     out = report.structure
 
     out_ses = report.session
     q_id = out_ses.sup_pointwise(_q_minus_identity)[1]
-    out_contact = out_ses.flag_residuals["weak_contact_metric"]
-    out_normal = out_ses.flag_residuals["normal"]
+    out_contact = out_ses.residual("weak_contact_metric")
+    out_normal = out_ses.residual("normal")
     slack = 10.0 * tol
     if q_id > slack or out_contact > slack or out_normal > slack:
         raise EngineInconsistencyError(
@@ -297,6 +297,10 @@ def contact_field_terms(X: TensorField) -> tuple:
     return tuple(lambda j, n=n: terms(j)[n] for n in range(3))
 
 
+# what `contact_vector_field` reads from its Session, besides the field's terms
+CVF_READS = ("weak_contact_metric",)
+
+
 def contact_vector_field(s: Structure, X: TensorField,
                          plan: SamplePlan = DEFAULT_PLAN,
                          tol: float = DEFAULT_TOL,
@@ -308,8 +312,8 @@ def contact_vector_field(s: Structure, X: TensorField,
     f = eta(X), reports sigma = xi(f), and cross-checks Lie_X(eta) = sigma eta
     when the characterization holds.  A `session` over the same plan, such as
     a validation report's, saves building the block jets again; if it has
-    read the flags and `terms`, the `contact_field_terms` of X, in its pass,
-    no jet is built again.
+    read `CVF_READS` and `terms`, the `contact_field_terms` of X, in its
+    pass, no jet is built again.
     """
     if s.nu is None:
         raise ValueError("structure must be validated before the field test")
@@ -317,8 +321,8 @@ def contact_vector_field(s: Structure, X: TensorField,
         raise ValueError("X must be a vector field")
     ses = session or Session(s, plan)
     terms = terms or contact_field_terms(X)
-    ses.read((*FLAGS, *terms))
-    contact = ses.flag_residuals["weak_contact_metric"]
+    ses.read((*CVF_READS, *terms))
+    contact = ses.residual("weak_contact_metric")
     if contact > tol:
         raise NotContactMetricError(
             f"structure is not weak contact metric (residual {contact:.3e})")

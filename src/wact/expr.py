@@ -131,14 +131,8 @@ _NUM_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'num' | 'ident' | 'op' | 'end'
-    text: str
-    pos: int
-
-
-def _tokenize(source: str) -> list[_Token]:
+def _tokenize(source: str) -> list[tuple]:
+    """(kind, text, position) of each token; kind is 'num', 'ident', 'op' or 'end'."""
     tokens = []
     i, n = 0, len(source)
     while i < n:
@@ -148,20 +142,20 @@ def _tokenize(source: str) -> list[_Token]:
             continue
         m = _NUM_RE.match(source, i)
         if m:
-            tokens.append(_Token("num", m.group(), i))
+            tokens.append(("num", m.group(), i))
             i = m.end()
             continue
         m = _IDENT_RE.match(source, i)
         if m:
-            tokens.append(_Token("ident", m.group(), i))
+            tokens.append(("ident", m.group(), i))
             i = m.end()
             continue
         if ch in "+-*/^()":
-            tokens.append(_Token("op", ch, i))
+            tokens.append(("op", ch, i))
             i += 1
             continue
         raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
+    tokens.append(("end", "", n))
     return tokens
 
 
@@ -173,7 +167,7 @@ MAX_NESTING = 100  # levels of parentheses, unary minus, calls and powers
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], coords: dict[str, int]):
+    def __init__(self, tokens: list[tuple], coords: dict[str, int]):
         self.tokens = tokens
         self.coords = coords
         self.i = 0
@@ -188,84 +182,84 @@ class _Parser:
         self.depth -= 1
         return node
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple:
         return self.tokens[self.i]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
+    def at_op(self, ops: str) -> bool:
+        """Whether the next token is an operator among the characters `ops`."""
+        kind, text, _ = self.tokens[self.i]
+        return kind == "op" and text in ops
+
     def expect_op(self, op: str):
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == op:
+        if self.at_op(op):
             return self.advance()
-        raise ParseError(f"expected '{op}'", tok.pos)
+        raise ParseError(f"expected '{op}'", self.peek()[2])
 
     def parse_expr(self):
         node = self.parse_term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            tok = self.advance()
+        while self.at_op("+-"):
+            _, op, pos = self.advance()
             rhs = self.parse_term()
-            node = Bin(tok.text, node, rhs, tok.pos)
+            node = Bin(op, node, rhs, pos)
         return node
 
     def parse_term(self):
         node = self.parse_unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            tok = self.advance()
+        while self.at_op("*/"):
+            _, op, pos = self.advance()
             rhs = self.parse_unary()
-            node = Bin(tok.text, node, rhs, tok.pos)
+            node = Bin(op, node, rhs, pos)
         return node
 
     def parse_unary(self):
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            arg = self.nested(self.parse_unary, tok.pos)
+        if self.at_op("-"):
+            pos = self.advance()[2]
+            arg = self.nested(self.parse_unary, pos)
             if isinstance(arg, Num):  # fold literal negation
-                return Num(-arg.value, tok.pos)
-            return Unary(arg, tok.pos)
+                return Num(-arg.value, pos)
+            return Unary(arg, pos)
         return self.parse_power()
 
     def parse_power(self):
         base = self.parse_atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.advance()
-            exponent = self.nested(self.parse_unary, tok.pos)
-            return Bin("^", base, exponent, tok.pos)
+        if self.at_op("^"):
+            pos = self.advance()[2]
+            exponent = self.nested(self.parse_unary, pos)
+            return Bin("^", base, exponent, pos)
         return base
 
     def parse_atom(self):
-        tok = self.advance()
-        if tok.kind == "num":
-            value = float(tok.text)
+        kind, text, pos = self.advance()
+        if kind == "num":
+            value = float(text)
             if not math.isfinite(value):
-                raise ParseError(f"number {tok.text} is too large for a float", tok.pos)
-            return Num(value, tok.pos)
-        if tok.kind == "ident":
-            name = tok.text
-            follows_paren = (self.peek().kind == "op" and self.peek().text == "(")
-            if name in FUNCTIONS:
-                if not follows_paren:
-                    raise ParseError(f"function '{name}' needs an argument list", tok.pos)
+                raise ParseError(f"number {text} is too large for a float", pos)
+            return Num(value, pos)
+        if kind == "ident":
+            if text in FUNCTIONS:
+                if not self.at_op("("):
+                    raise ParseError(f"function '{text}' needs an argument list", pos)
                 self.advance()
-                arg = self.nested(self.parse_expr, tok.pos)
+                arg = self.nested(self.parse_expr, pos)
                 self.expect_op(")")
-                return Call(name, arg, tok.pos)
-            if name in self.coords:
-                return Coord(name, self.coords[name], tok.pos)
-            if name in CONSTANTS:
-                return Const(name, tok.pos)
-            raise UnknownSymbolError(name, tok.pos)
-        if tok.kind == "op" and tok.text == "(":
-            node = self.nested(self.parse_expr, tok.pos)
+                return Call(text, arg, pos)
+            if text in self.coords:
+                return Coord(text, self.coords[text], pos)
+            if text in CONSTANTS:
+                return Const(text, pos)
+            raise UnknownSymbolError(text, pos)
+        if kind == "op" and text == "(":
+            node = self.nested(self.parse_expr, pos)
             self.expect_op(")")
             return node
-        if tok.kind == "end":
-            raise ParseError("unexpected end of expression", tok.pos)
-        raise ParseError(f"unexpected token '{tok.text}'", tok.pos)
+        if kind == "end":
+            raise ParseError("unexpected end of expression", pos)
+        raise ParseError(f"unexpected token '{text}'", pos)
 
 
 # --------------------------------------------------------------------------
@@ -585,9 +579,9 @@ def parse(source: str, coords) -> ScalarExpr:
     index = {name: i for i, name in enumerate(names)}
     parser = _Parser(_tokenize(source), index)
     node = parser.parse_expr()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ParseError(f"unexpected trailing input '{trailing.text}'", trailing.pos)
+    kind, text, pos = parser.peek()
+    if kind != "end":
+        raise ParseError(f"unexpected trailing input '{text}'", pos)
     return ScalarExpr(node, names)
 
 

@@ -191,9 +191,14 @@ def _finite_json(obj):
 def dump_json(obj) -> str:
     """Stable, strict JSON used for every report and structure file.
 
-    A non-finite residual is written as the string the text table prints.
+    A non-finite residual is written as the string the text table prints;
+    only a payload that holds one is copied to spell it so.
     """
-    return json.dumps(_finite_json(obj), indent=2, allow_nan=False) + "\n"
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError:  # a non-finite float
+        text = json.dumps(_finite_json(obj), indent=2, allow_nan=False)
+    return text + "\n"
 
 
 # --------------------------------------------------------------------------

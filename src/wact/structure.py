@@ -1079,17 +1079,16 @@ class Session:
             raise result
         return result
 
-    def residual(self, key: str) -> float:
-        """Sup of a `RESIDUALS` key, or a flag's residual."""
-        return self.flag_residuals[key] if key in FLAGS else self.sup(key)[1]
+    def residual(self, name: str) -> float:
+        """Sup of a `RESIDUALS` key, or a flag's residual: the worst of its keys only."""
+        return sup_at([self.sup(key)[1] for key in FLAGS.get(name, (name,))])[1]
 
     # -- flags ------------------------------------------------------------------
 
     @cached_property
     def flag_residuals(self) -> dict:
         self.read(FLAGS)
-        return {name: sup_at([self.residual(key) for key in keys])[1]
-                for name, keys in FLAGS.items()}
+        return {name: self.residual(name) for name in FLAGS}
 
     def _lam(self, j):
         """lambda = tr(Q P) / 2n at each point of a block jet."""

@@ -372,25 +372,64 @@ def test_non_finite_residuals_reach_a_strict_json_report(tmp_path, capsys):
     assert rows["phi_square"]["verdict"] == rows["compatibility"]["verdict"] == "fail"
 
 
+def _fresh_env(threads: str | None) -> dict:
+    """Environment for a fresh interpreter that imports this checkout's `wact`.
+
+    OPENBLAS_NUM_THREADS is unset when `threads` is None, else set to it.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _fresh_python(code: str, threads: str | None = None) -> str:
+    """Stdout of `python -c code` in a fresh interpreter (see `_fresh_env`)."""
+    done = subprocess.run([sys.executable, "-c", code], env=_fresh_env(threads),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
 def test_openblas_threads_do_not_change_report_bytes(tmp_path):
     # stacked matrix products over the point axis may reach BLAS, so the
     # report must not depend on its thread count; run in fresh processes,
-    # because OpenBLAS reads the variable once, when it loads
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    # because OpenBLAS reads the variable once, when it loads.  Unset, the
+    # command line sets one thread, so a pooled BLAS is asked for explicitly.
     reports = []
-    for threads in (None, "1"):
-        env = dict(os.environ)
-        env.pop("OPENBLAS_NUM_THREADS", None)
-        if threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = threads
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for threads in (None, "2"):
         out = tmp_path / f"report-{threads}.json"
         done = subprocess.run(
             [sys.executable, "-m", "wact.cli", "verify", PRODUCT, "--json", str(out)],
-            env=env, capture_output=True, timeout=120)
+            env=_fresh_env(threads), capture_output=True, timeout=120)
         assert done.returncode == 0, done.stderr.decode()
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="no per-thread /proc")
+def test_the_command_line_starts_without_a_blas_thread_pool():
+    code = "import os, wact.cli; print(len(os.listdir('/proc/self/task')))"
+    assert _fresh_python(code) == "1"
+
+
+def test_a_blas_thread_count_the_user_set_is_kept():
+    code = "import os, wact.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh_python(code, "2") == "2"
+
+
+def test_the_library_leaves_numpy_unloaded_and_the_environment_alone():
+    code = ("import os, sys, wact; print('numpy' in sys.modules); import wact.structure; "
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'))")
+    assert _fresh_python(code).split() == ["False", "None"]
+
+
+def test_the_command_line_does_not_import_the_calculus_oracle():
+    code = "import sys, wact.cli; print('wact.calculus' in sys.modules)"
+    assert _fresh_python(code) == "False"
 
 
 @pytest.mark.parametrize("command, extra, structures", [
@@ -418,6 +457,26 @@ def test_each_command_builds_each_block_jet_once(command, extra, structures, tmp
     assert built == [10, 10, 5] * structures
     if command == "cvf":
         assert json.loads(report.read_text())["is_weak_contact"] is True
+
+
+@pytest.mark.parametrize("points", ["5", "25"])  # one block, three blocks
+@pytest.mark.parametrize("command, extra", [
+    ("cvf", ("--field", "0;2;2*x")),
+    ("extract-sasakian", ("-o", "{tmp}/out.json")),
+], ids=["cvf", "extract-sasakian"])
+def test_cvf_and_extraction_reduce_only_the_flags_they_read(command, extra, points, tmp_path,
+                                                           monkeypatch, capsys):
+    # cvf reads the contact flag, extraction also normality and Q|_D = nu id;
+    # a key of any other flag that raises must not stop them, on one block
+    # (reduced when read) or several (reduced in the pass over the blocks)
+    monkeypatch.setattr(structure, "BLOCK_POINTS", 10)
+
+    def unread(j):
+        raise AssertionError("reduced a key the command does not read")
+    for key in ("q_xi_alignment", "killing", "d_eta", "d_phi", "nabla_phi"):
+        monkeypatch.setitem(structure.RESIDUALS, key, structure.RESIDUALS[key]._replace(fn=unread))
+    argv = [arg.format(tmp=tmp_path) for arg in extra]
+    assert run(command, R3, *argv, "--points", points) == 0
 
 
 def test_verify_reuses_the_validation_rows(monkeypatch, capsys):
